@@ -132,24 +132,7 @@ def _cmd_estimate(args) -> int:
     out = _outdir(cfg)
     rows = run_replication(cfg.experiment, point_index=0, rep=0)
     point = cfg.experiment.regime.points()[0]
-    lines = ["replication,estimator,gamma_or_t,value,stop_time,info_used,messages_used"]
-    from .reporting import fmt
-
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.rep),
-                    r.estimator,
-                    fmt(point),
-                    fmt(r.value),
-                    fmt(r.stop_time),
-                    fmt(r.info_used),
-                    str(r.messages_used),
-                )
-            )
-        )
-    (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+    (out / "estimates.csv").write_text(estimates_csv_text(rows, replication=0, point=point))
     print(f"wrote {out / 'estimates.csv'}")
     return 0
 

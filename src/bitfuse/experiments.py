@@ -435,14 +435,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
 
 def compute_aggregates(rows):
     """Per (point, estimator) summary statistics, recomputable from rows."""
-    keys = []
+    groups = {}  # insertion order is first-seen order
     for r in rows:
-        k = (r.point, r.estimator)
-        if k not in keys:
-            keys.append(k)
+        groups.setdefault((r.point, r.estimator), []).append(r)
     out = []
-    for point, est in keys:
-        sel = [r for r in rows if r.point == point and r.estimator == est]
+    for (point, est), sel in groups.items():
         ok = [r for r in sel if r.ok]
         failures = tuple(f"rep={r.rep}: {r.fail_reason}" for r in sel if not r.ok)
         if len(ok) >= 2:

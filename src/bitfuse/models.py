@@ -6,14 +6,17 @@ weight process X_i; the running statistics of interest are
 
 * ``B_i``  -- the stochastic integral of X_i against the sensor's path,
 * ``A_i``  -- its quadratic variation (the information carried by sensor i),
-* ``A_ij`` -- cross-variations between sensors,
+* ``A_cross`` -- the cross-variations between sensors that can be
+  nonzero, one row per pair in ``Model.cross_pairs``,
 * ``B``, ``A`` -- their totals, and ``M = B - lam * A``, a martingale.
 
 Paths are simulated with Euler-Maruyama on a uniform grid.  Quadratic
 (co)variations are accumulated from the model's diffusion coefficients,
 not from realized squared increments, and every component that is
 deterministic is evaluated in closed form so downstream bound audits are
-exact at the grid points.
+exact at the grid points.  Cross-variations that are identically zero
+are never stored, so statistics memory is O(K*n) plus one row per
+contributing cross pair.
 
 The exponential-integrability condition that makes the drifted law a
 proper change of measure is assumed for every catalog model and is not
@@ -22,11 +25,12 @@ checked for user-supplied coefficient tables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.signal import lfilter
 
 from .errors import GridMismatch, InvalidSpec, NumericalBlowup
@@ -85,23 +89,14 @@ def _as_matrix_of_timefunctions(entries, K, name):
     return rows
 
 
-def _add_timefunctions(f: TimeFunction, g: TimeFunction) -> TimeFunction:
-    merged = tuple(sorted(set(f.breaks) | set(g.breaks)))
-    edges = (0.0,) + merged
-    coeffs = []
-    for left in edges:
-        ka = int(np.searchsorted(np.asarray(f.breaks), left, side="right"))
-        kb = int(np.searchsorted(np.asarray(g.breaks), left, side="right"))
-        s = npoly.polyadd(np.asarray(f.coeffs[ka]), np.asarray(g.coeffs[kb]))
-        coeffs.append(tuple(float(v) for v in s))
-    return TimeFunction(breaks=merged, coeffs=tuple(coeffs))
-
-
-def _sum_timefunctions(fns):
-    total = fns[0]
-    for f in fns[1:]:
-        total = _add_timefunctions(total, f)
-    return total
+def _matrix_stack(fns, times):
+    """Evaluate a K x K table of time functions; shape (times.size, K, K)."""
+    K = len(fns)
+    stack = np.empty((times.size, K, K))
+    for i in range(K):
+        for j in range(K):
+            stack[:, i, j] = fns[i][j](times)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -203,21 +198,22 @@ class SensorPaths:
 class PathStats:
     """Pathwise sufficient statistics on the simulation grid.
 
-    Arrays are indexed like the grid times.  ``A_ij`` is the full K x K
-    stack of cross-variations; its diagonal equals ``A_i``.
+    Arrays are indexed like the grid times.  ``A_cross`` has one row per
+    pair of the model's ``cross_pairs``; every other off-diagonal
+    cross-variation is identically zero and is not stored.
     """
 
     grid: TimeGrid
     lambda_true: float
     B_i: np.ndarray
     A_i: np.ndarray
-    A_ij: np.ndarray
+    A_cross: np.ndarray
     B: np.ndarray
     A: np.ndarray
     M: np.ndarray
 
     def __post_init__(self):
-        for a in (self.B_i, self.A_i, self.A_ij, self.B, self.A, self.M):
+        for a in (self.B_i, self.A_i, self.A_cross, self.B, self.A, self.M):
             a.flags.writeable = False
 
     def value_at(self, arr: np.ndarray, t):
@@ -254,6 +250,13 @@ class Model:
         np.fill_diagonal(off, False)
         self.d_counts = off.sum(axis=1).astype(int)
         self._check_cross_closed_forms()
+        # ordered off-diagonal pairs whose cross-variation enters A
+        self.cross_pairs = tuple(
+            (i, j)
+            for i in range(self.K)
+            for j in range(self.K)
+            if i != j and not (self.cross_deterministic[i, j] and self._cross_is_zero(i, j))
+        )
 
     def _setup(self, spec: ModelSpec):
         raise NotImplementedError
@@ -273,17 +276,28 @@ class Model:
     def _check_cross_closed_forms(self):
         pass
 
+    def _cross_is_zero(self, i: int, j: int) -> bool:
+        """Whether the closed form of a deterministic pair is identically zero."""
+        return True
+
     # -- interface implemented per kind ---------------------------------
 
     def simulate(self, lam: float, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def x_values(self, Y: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Weight-process values X_i(t_k) along the path, shape (K, n+1)."""
+        """Weight-process values X_i at the left endpoints.
+
+        ``Y`` and ``times`` hold the path and the grid times at the n left
+        endpoints.  The result broadcasts to shape (K, n).
+        """
         raise NotImplementedError
 
-    def qv_density(self, Y: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """d<Y_i, Y_j>/dt along the path, shape (K, K, n+1)."""
+    def qv_density(self, i: int, j: int, Y: np.ndarray, times: np.ndarray):
+        """d<Y_i, Y_j>/dt at the left endpoints, broadcastable to (n,).
+
+        Called only for pairs whose (cross-)variation is random.
+        """
         raise NotImplementedError
 
     def det_cross(self, i: int, j: int, t):
@@ -326,13 +340,7 @@ class _BrownianConstantModel(Model):
         return Y
 
     def x_values(self, Y, times):
-        return np.broadcast_to(self.x[:, None], Y.shape).copy()
-
-    def qv_density(self, Y, times):
-        q = np.zeros((self.K, self.K, times.size))
-        idx = np.arange(self.K)
-        q[idx, idx, :] = 1.0
-        return q
+        return self.x[:, None]
 
     def det_info_i(self, i, t):
         return self.x[i] ** 2 * np.asarray(t, dtype=float)
@@ -360,8 +368,8 @@ class _GaussianDetInfoModel(Model):
             tuple(self.b[i] * self.b[j] * self.rho[i][j] for j in range(self.K))
             for i in range(self.K)
         )
-        self._total_integrand = _sum_timefunctions(
-            [self._cross_integrand[i][j] for i in range(self.K) for j in range(self.K)]
+        self._total_integrand = reduce(
+            operator.add, [f for row in self._cross_integrand for f in row]
         )
 
     def _sample_times(self):
@@ -384,18 +392,14 @@ class _GaussianDetInfoModel(Model):
             if w.min() < -1e-9 * max(1.0, abs(w).max()):
                 raise InvalidSpec(f"non-positive-semidefinite correlation at t={t}")
 
-    def _rho_stack(self, times):
-        stack = np.empty((times.size, self.K, self.K))
-        for i in range(self.K):
-            for j in range(self.K):
-                stack[:, i, j] = self.rho[i][j](times)
-        return stack
+    def _cross_is_zero(self, i, j):
+        return self._cross_integrand[i][j].is_zero
 
     def simulate(self, lam, grid, rng):
         dt = grid.dt
         tl = grid.times()[:-1]
         b_vals = np.stack([f(tl) for f in self.b])  # (K, n)
-        rho = self._rho_stack(tl)  # (n, K, K)
+        rho = _matrix_stack(self.rho, tl)  # (n, K, K)
         drift = lam * np.einsum("nij,jn->in", rho, b_vals) * dt
         w, V = np.linalg.eigh(rho)
         if w.min() < -1e-9 * max(1.0, float(abs(w).max())):
@@ -410,12 +414,8 @@ class _GaussianDetInfoModel(Model):
     def x_values(self, Y, times):
         return np.stack([f(times) for f in self.b])
 
-    def qv_density(self, Y, times):
-        q = np.empty((self.K, self.K, times.size))
-        for i in range(self.K):
-            for j in range(self.K):
-                q[i, j, :] = self.rho[i][j](times)
-        return q
+    def qv_density(self, i, j, Y, times):
+        return self.rho[i][j](times)
 
     def det_cross(self, i, j, t):
         if not self.cross_deterministic[i, j]:
@@ -460,11 +460,8 @@ class _OrnsteinUhlenbeckModel(Model):
     def x_values(self, Y, times):
         return Y
 
-    def qv_density(self, Y, times):
-        q = np.zeros((self.K, self.K, times.size))
-        idx = np.arange(self.K)
-        q[idx, idx, :] = self.alpha[:, None]
-        return q
+    def qv_density(self, i, j, Y, times):
+        return self.alpha[i] if i == j else 0.0
 
 
 class _SquareRootDiffusionModel(Model):
@@ -502,13 +499,10 @@ class _SquareRootDiffusionModel(Model):
         return Y
 
     def x_values(self, Y, times):
-        return np.broadcast_to(self.x[:, None], Y.shape).copy()
+        return self.x[:, None]
 
-    def qv_density(self, Y, times):
-        q = np.zeros((self.K, self.K, times.size))
-        idx = np.arange(self.K)
-        q[idx, idx, :] = np.maximum(Y, 0.0)
-        return q
+    def qv_density(self, i, j, Y, times):
+        return np.maximum(Y[i], 0.0) if i == j else 0.0
 
 
 class _CorrelatedDiffusionModel(Model):
@@ -521,7 +515,7 @@ class _CorrelatedDiffusionModel(Model):
         # instantaneous covariance sigma sigma^T, entrywise in closed form
         self.alpha_fn = tuple(
             tuple(
-                _sum_timefunctions([self.sigma[i][k] * self.sigma[j][k] for k in range(self.K)])
+                reduce(operator.add, [self.sigma[i][k] * self.sigma[j][k] for k in range(self.K)])
                 for j in range(self.K)
             )
             for i in range(self.K)
@@ -544,19 +538,12 @@ class _CorrelatedDiffusionModel(Model):
                         "diffusion product is nonzero; no closed form exists"
                     )
 
-    def _matrix_stack(self, fns, times):
-        stack = np.empty((times.size, self.K, self.K))
-        for i in range(self.K):
-            for j in range(self.K):
-                stack[:, i, j] = fns[i][j](times)
-        return stack
-
     def simulate(self, lam, grid, rng):
         dt = grid.dt
         sdt = np.sqrt(dt)
         tl = grid.times()[:-1]
-        sig = self._matrix_stack(self.sigma, tl)
-        alph = self._matrix_stack(self.alpha_fn, tl)
+        sig = _matrix_stack(self.sigma, tl)
+        alph = _matrix_stack(self.alpha_fn, tl)
         noise = rng.standard_normal((grid.n_steps, self.K))
         Y = np.empty((self.K, grid.n_steps + 1))
         Y[:, 0] = 0.0
@@ -569,12 +556,8 @@ class _CorrelatedDiffusionModel(Model):
     def x_values(self, Y, times):
         return Y
 
-    def qv_density(self, Y, times):
-        q = np.empty((self.K, self.K, times.size))
-        for i in range(self.K):
-            for j in range(self.K):
-                q[i, j, :] = self.alpha_fn[i][j](times)
-        return q
+    def qv_density(self, i, j, Y, times):
+        return self.alpha_fn[i][j](times)
 
 
 _MODEL_CLASSES = {
@@ -621,12 +604,14 @@ def simulate_paths(
 
 
 def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
-    """Compute B_i, A_i, A_ij and their totals along a simulated path.
+    """Compute B_i, A_i, A_cross and their totals along a simulated path.
 
     Stochastic integrals are left-endpoint Riemann sums.  Deterministic
     information components come from closed forms; random ones accumulate
     the model's diffusion coefficients, so the per-step cross-variation
-    bound |A_ij| <= (A_i + A_j)/2 holds exactly.
+    bound |A_ij| <= (A_i + A_j)/2 holds exactly.  Only the pairs in
+    ``model.cross_pairs`` are stored, so memory is O(K*n) plus one row
+    per contributing cross pair.
     """
     grid = paths.grid
     times = grid.times()
@@ -635,35 +620,32 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
         raise GridMismatch("path array shape does not match grid and sensor count")
     dt = grid.dt
     Y = paths.Y
-    X = model.x_values(Y, times)
-    # the diffusion-coefficient stack is only needed for random components
-    any_random = (not model.a_i_deterministic) or not np.all(model.cross_deterministic)
-    q = model.qv_density(Y, times) if any_random else None
+    Yl, tl = Y[:, :-1], times[:-1]
+    X = model.x_values(Yl, tl)
 
-    dY = np.diff(Y, axis=1)
     B_i = np.zeros((K, times.size))
-    B_i[:, 1:] = np.cumsum(X[:, :-1] * dY, axis=1)
+    np.cumsum(X * np.diff(Y, axis=1), axis=1, out=B_i[:, 1:])
 
-    A_ij = np.empty((K, K, times.size))
+    def random_part(i, j):
+        out = np.zeros(times.size)
+        np.cumsum(X[i] * X[j] * model.qv_density(i, j, Yl, tl) * dt, out=out[1:])
+        return out
+
+    A_i = np.empty((K, times.size))
     for i in range(K):
-        for j in range(K):
-            if i == j and model.a_i_deterministic:
-                A_ij[i, j] = model.det_info_i(i, times)
-            elif i != j and model.cross_deterministic[i, j]:
-                A_ij[i, j] = model.det_cross(i, j, times)
-            else:
-                integ = X[i, :-1] * X[j, :-1] * q[i, j, :-1] * dt
-                A_ij[i, j, 0] = 0.0
-                A_ij[i, j, 1:] = np.cumsum(integ)
-    A_i = np.array([A_ij[i, i] for i in range(K)])
+        A_i[i] = model.det_info_i(i, times) if model.a_i_deterministic else random_part(i, i)
+    A_cross = np.empty((len(model.cross_pairs), times.size))
+    for row, (i, j) in zip(A_cross, model.cross_pairs):
+        deterministic = model.cross_deterministic[i, j]
+        row[:] = model.det_cross(i, j, times) if deterministic else random_part(i, j)
 
     B = B_i.sum(axis=0)
     A = A_i.sum(axis=0)
-    for i in range(K):
-        for j in range(K):
-            if i != j:
-                A = A + A_ij[i, j]
+    # same summation order as over all off-diagonal pairs; the skipped
+    # pairs add exact zeros
+    for row in A_cross:
+        A = A + row
     M = B - paths.lambda_true * A
     return PathStats(
-        grid=grid, lambda_true=paths.lambda_true, B_i=B_i, A_i=A_i, A_ij=A_ij, B=B, A=A, M=M
+        grid=grid, lambda_true=paths.lambda_true, B_i=B_i, A_i=A_i, A_cross=A_cross, B=B, A=A, M=M
     )

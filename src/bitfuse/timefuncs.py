@@ -2,9 +2,9 @@
 
 Deterministic model coefficients (drift weights, correlation entries,
 diffusion matrix entries) are restricted to piecewise-constant and
-polynomial tables.  The class below is closed under products and admits
-exact antiderivatives, so every deterministic cross-variation integral
-can be evaluated in closed form instead of by Riemann sums.
+polynomial tables.  The class below is closed under sums and products
+and admits exact antiderivatives, so every deterministic cross-variation
+integral can be evaluated in closed form instead of by Riemann sums.
 """
 
 from __future__ import annotations
@@ -89,18 +89,27 @@ class TimeFunction:
 
     # -- algebra -------------------------------------------------------
 
-    def __mul__(self, other: "TimeFunction") -> "TimeFunction":
-        if not isinstance(other, TimeFunction):
-            return NotImplemented
+    def _merge(self, other, op) -> "TimeFunction":
+        """Combine two functions piece by piece on their merged breakpoints."""
         merged = tuple(sorted(set(self.breaks) | set(other.breaks)))
         edges = (0.0,) + merged
         coeffs = []
         for left in edges:
             ka = int(np.searchsorted(np.asarray(self.breaks), left, side="right"))
             kb = int(np.searchsorted(np.asarray(other.breaks), left, side="right"))
-            prod = npoly.polymul(np.asarray(self.coeffs[ka]), np.asarray(other.coeffs[kb]))
-            coeffs.append(tuple(float(v) for v in prod))
+            c = op(np.asarray(self.coeffs[ka]), np.asarray(other.coeffs[kb]))
+            coeffs.append(tuple(float(v) for v in c))
         return TimeFunction(breaks=merged, coeffs=tuple(coeffs))
+
+    def __mul__(self, other: "TimeFunction") -> "TimeFunction":
+        if not isinstance(other, TimeFunction):
+            return NotImplemented
+        return self._merge(other, npoly.polymul)
+
+    def __add__(self, other: "TimeFunction") -> "TimeFunction":
+        if not isinstance(other, TimeFunction):
+            return NotImplemented
+        return self._merge(other, npoly.polyadd)
 
     def integral(self, t):
         """Exact cumulative integral over [0, t], vectorized in t."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,7 +157,7 @@ def test_determinism_bitwise():
         assert np.array_equal(p1.Y, p2.Y)
         s1 = path_statistics(p1, m)
         s2 = path_statistics(p2, m)
-        for name in ("B_i", "A_i", "A_ij", "B", "A", "M"):
+        for name in ("B_i", "A_i", "A_cross", "B", "A", "M"):
             assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
 
@@ -233,21 +235,66 @@ def test_pointwise_identities_all_models(spec, lam):
     scale = 1.0 + np.abs(s.A) + np.abs(s.B)
     # totals decompose into per-sensor pieces
     np.testing.assert_allclose(s.B, s.B_i.sum(axis=0), rtol=0, atol=1e-12 * scale.max())
+    assert s.A_cross.shape == (len(m.cross_pairs), grid.n_steps + 1)
     cross = np.zeros_like(s.A)
-    for i in range(m.K):
-        for j in range(m.K):
-            if i != j:
-                cross = cross + s.A_ij[i, j]
+    for row in s.A_cross:
+        cross = cross + row
     np.testing.assert_allclose(s.A, s.A_i.sum(axis=0) + cross, rtol=0, atol=1e-12 * scale.max())
     np.testing.assert_allclose(s.M, s.B - lam * s.A, rtol=0, atol=1e-12 * scale.max())
     # information components: nondecreasing diagonal, two-sided cross bound
     assert np.all(np.diff(s.A_i, axis=1) >= 0)
     assert s.A_i[0, 0] == 0.0
+    for row, (i, j) in zip(s.A_cross, m.cross_pairs):
+        bound = 0.5 * (s.A_i[i] + s.A_i[j])
+        assert np.all(np.abs(row) <= bound + 1e-12 * (1 + bound))
+        if m.cross_deterministic[i, j]:
+            np.testing.assert_array_equal(row, m.det_cross(i, j, grid.times()))
+    # every unstored off-diagonal pair is deterministic and identically zero
+    dense = np.linspace(0.0, 10.0 * grid.t_end, 4001)
     for i in range(m.K):
         for j in range(m.K):
-            if i != j:
-                bound = 0.5 * (s.A_i[i] + s.A_i[j])
-                assert np.all(np.abs(s.A_ij[i, j]) <= bound + 1e-12 * (1 + bound))
+            if i != j and (i, j) not in m.cross_pairs:
+                assert m.cross_deterministic[i, j]
+                assert np.all(m.det_cross(i, j, dense) == 0.0)
+
+
+def test_statistics_memory_is_linear_in_sensor_count():
+    # Brownian cross-variations are identically zero, so nothing but the
+    # 2K per-sensor rows and the three totals may be held
+    K, n = 16, 10_000
+    m = brownian(K=K, x=tuple(1.0 + 0.1 * i for i in range(K)))
+    s = path_statistics(simulate_paths(m, 0.5, TimeGrid(1.0, n), seed=3), m)
+    buffers = {}
+    for f in dataclasses.fields(s):
+        a = getattr(s, f.name)
+        if not isinstance(a, np.ndarray):
+            continue
+        while a.base is not None:
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    assert sum(buffers.values()) <= (2 * K + 4) * (n + 1) * 8
+
+
+def test_cross_pairs_are_the_pairs_that_can_be_nonzero():
+    rho = (
+        (CONST(1.0), CONST(0.4), CONST(0.0)),
+        (CONST(0.4), CONST(1.0), CONST(0.2)),
+        (CONST(0.0), CONST(0.2), CONST(1.0)),
+    )
+    b = (TimeFunction.polynomial((1.0, 0.1)), CONST(0.7), CONST(1.5))
+    m = build_model(ModelSpec(kind=ModelKind.GAUSSIAN_DET_INFO, K=3, b=b, rho=rho))
+    assert m.cross_pairs == ((0, 1), (1, 0), (1, 2), (2, 1))
+    sig = (
+        (CONST(1.0), CONST(0.0), CONST(0.0)),
+        (CONST(0.5), CONST(1.0), CONST(0.0)),
+        (CONST(0.0), CONST(0.0), CONST(0.8)),
+    )
+    m = build_model(ModelSpec(kind=ModelKind.CORRELATED_DIFFUSION, K=3, sigma=sig))
+    assert m.cross_pairs == ((0, 1), (1, 0))
+    s = path_statistics(simulate_paths(m, 0.2, TimeGrid(2.0, 400), seed=8), m)
+    assert s.A_cross.shape == (2, 401)
+    np.testing.assert_array_equal(s.A_cross[0], s.A_cross[1])
+    assert brownian(K=3, x=(1.0, 2.0, 3.0)).cross_pairs == ()
 
 
 def test_score_is_martingale_with_matching_quadratic_variation():

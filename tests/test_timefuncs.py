@@ -25,6 +25,7 @@ def test_product_matches_pointwise_product():
     h = f * g
     t = np.linspace(0, 5, 101)
     np.testing.assert_allclose(h(t), f(t) * g(t), rtol=1e-14)
+    np.testing.assert_allclose((f + g)(t), f(t) + g(t), rtol=1e-14)
 
 
 def test_integral_exact_for_polynomial():
