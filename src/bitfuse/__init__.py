@@ -24,7 +24,6 @@ from .experiments import (
 )
 from .first_passage import (
     ExitProblem,
-    SeriesControl,
     delta_moment_asymptotics,
     exit_functionals,
     joint_density,

@@ -102,24 +102,13 @@ def _cmd_simulate(args) -> int:
     out = _outdir(cfg)
     exp = cfg.experiment
     model = build_model(exp.model)
-    regime = exp.regime
-    t_end = regime.points()[0] if regime.kind == "fixed_horizon" else getattr(regime, "t", None)
-    if t_end is None:
-        t_end = getattr(regime, "initial_horizon", 1.0)
-    from .experiments import _grid_for, _trigger_configs
-
-    grid = _grid_for(t_end, exp.grid_steps_per_unit)
-    seed = np.random.SeedSequence([exp.master_seed, 0, 0])
-    paths = simulate_paths(model, exp.lambda_true, grid, seed)
+    point = exp.regime.points()[0]
+    grid = exp.grid_for(exp.regime.horizon(point))
+    paths = simulate_paths(model, exp.lambda_true, grid, exp.replication_seed(0, 0))
     stats = path_statistics(paths, model)
-    if cfg.triggers is not None:
-        cfgs = cfg.triggers
-    else:
-        delta = regime.delta_rule(regime.points()[0])
-        c = regime.c_rule(regime.points()[0]) if regime.kind == "sequential" else None
-        mode = "discrete" if regime.kind == "discrete_sampling" else "continuous"
-        h = regime.points()[0] if regime.kind == "discrete_sampling" else None
-        cfgs = _trigger_configs(model, delta, c, mode, h)
+    cfgs = cfg.triggers
+    if cfgs is None:
+        cfgs = exp.regime.trigger_configs(model, point)
     log = run_triggers(stats, model, cfgs)
     (out / "paths.csv").write_text(paths_csv_text(paths, stats))
     (out / "messages.csv").write_text(messages_csv_text(log))

@@ -9,8 +9,10 @@ processes.  Failed replications are flagged and listed, never silently
 resampled.
 
 Threshold rules are explicit power laws u -> a * u^b applied per sensor
-at each regime point (the asymptotic statements only constrain rates,
-so exponents are configuration, recorded in the report).
+(the asymptotic statements only constrain rates, so exponents are
+configuration, recorded in the report).  Each regime class decides how
+one of its points becomes a replication: the starting horizon, the
+per-sensor thresholds and the estimators it accepts.
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import (
-    BitfuseError,
-    HorizonExhausted,
-    InvalidSpec,
-    SampleTooSmall,
-)
+from .errors import BitfuseError, HorizonExhausted, InvalidSpec, SampleTooSmall
 from . import fusion
 from .fusion import (
     CENTRALIZED_FIXED,
@@ -86,41 +83,93 @@ class PowerLawRule:
         return PowerLawRule(a=float(d["a"]), b=float(d["b"]))
 
 
+def _trigger_configs(model: Model, delta: float, c: float | None = None,
+                     mode: str = CONTINUOUS, h: float | None = None):
+    cfg = TriggerConfig(delta_up=delta, delta_down=delta, c=c if model.sends_timing else None,
+                        mode=mode, h=h)
+    return (cfg,) * model.K
+
+
+_FIXED_ESTIMATORS = (CENTRALIZED_FIXED, DECENTRALIZED_FIXED, TIMING_ONLY)
+
+
 @dataclass(frozen=True)
 class FixedHorizonRegime:
+    """One point per horizon t; each sensor's bit threshold is
+    ``delta_rule(t)``.  Accepts the fixed-horizon estimators only; an
+    ``ExperimentConfig`` naming another one is rejected at construction."""
+
     t_list: tuple
     delta_rule: PowerLawRule
     kind: str = field(default="fixed_horizon", init=False)
+    estimators = _FIXED_ESTIMATORS
 
     def points(self):
         return tuple(float(t) for t in self.t_list)
 
+    def horizon(self, point):
+        return point
+
+    def trigger_configs(self, model: Model, point):
+        return _trigger_configs(model, self.delta_rule(point))
+
 
 @dataclass(frozen=True)
 class SequentialRegime:
+    """One point per target information gamma; thresholds
+    ``delta_rule(gamma)`` and ``c_rule(gamma)``.  A replication starts on
+    ``initial_horizon`` and lengthens it until every estimator stops.
+    Accepts the sequential estimators only; an ``ExperimentConfig``
+    naming another one is rejected at construction."""
+
     gamma_list: tuple
     c_rule: PowerLawRule
     delta_rule: PowerLawRule
     initial_horizon: float = 1.0
     kind: str = field(default="sequential", init=False)
+    estimators = (CENTRALIZED_SEQUENTIAL, DECENTRALIZED_SEQUENTIAL)
 
     def points(self):
         return tuple(float(g) for g in self.gamma_list)
 
+    def horizon(self, point):
+        return self.initial_horizon
+
+    def trigger_configs(self, model: Model, point):
+        return _trigger_configs(model, self.delta_rule(point), self.c_rule(point))
+
 
 @dataclass(frozen=True)
 class DiscreteSamplingRegime:
+    """One point per sampling period h, all on the horizon t; each
+    sensor's bit threshold is ``delta_rule(t)``.  Accepts the
+    fixed-horizon estimators only, and every h must be a whole number of
+    grid steps; an ``ExperimentConfig`` breaking either is rejected at
+    construction."""
+
     t: float
     delta_rule: PowerLawRule
     h_list: tuple
     kind: str = field(default="discrete_sampling", init=False)
+    estimators = _FIXED_ESTIMATORS
 
     def points(self):
         return tuple(float(h) for h in self.h_list)
 
+    def horizon(self, point):
+        return self.t
+
+    def trigger_configs(self, model: Model, point):
+        return _trigger_configs(model, self.delta_rule(self.t), mode=DISCRETE, h=point)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A replication study.  Construction rejects (``InvalidSpec``) fewer
+    than 2 replications, a non-positive grid refinement, unknown
+    estimators or none, estimators the regime does not accept, and
+    sampling periods that are not a whole number of grid steps."""
+
     model: ModelSpec
     lambda_true: float
     regime: object
@@ -139,6 +188,23 @@ class ExperimentConfig:
             raise InvalidSpec(f"unknown estimators: {bad}")
         if not self.estimators:
             raise InvalidSpec("at least one estimator is required")
+        bad = [e for e in self.estimators if e not in self.regime.estimators]
+        if bad:
+            raise InvalidSpec(f"estimators {bad} do not apply to a {self.regime.kind} regime")
+        if self.regime.kind == "discrete_sampling":
+            for h in self.regime.points():
+                steps = h * self.grid_steps_per_unit
+                if abs(round(steps) - steps) > 1e-9:
+                    raise InvalidSpec("sampling period must be an integer number of grid steps")
+
+    def grid_for(self, t_end: float) -> TimeGrid:
+        n = max(1, int(round(t_end * self.grid_steps_per_unit)))
+        return TimeGrid(t_end=t_end, n_steps=n)
+
+    def replication_seed(self, point_index: int, rep: int) -> np.random.SeedSequence:
+        """The stream of one replication, keyed so that results do not
+        depend on execution order."""
+        return np.random.SeedSequence([int(self.master_seed), point_index, rep])
 
 
 @dataclass(frozen=True)
@@ -201,20 +267,6 @@ def ks_test(sample):
     return D, p
 
 
-def _trigger_configs(model: Model, delta: float, c: float | None, mode: str, h: float | None):
-    needs_a = not (model.a_deterministic or model.a_i_deterministic)
-    return tuple(
-        TriggerConfig(
-            delta_up=delta,
-            delta_down=delta,
-            c=c if needs_a else None,
-            mode=mode,
-            h=h,
-        )
-        for _ in range(model.K)
-    )
-
-
 def _run_triggers_capped(stats: PathStats, model: Model, cfgs, max_level=None) -> MessageLog:
     b_logs, a_logs = [], []
     for i in range(model.K):
@@ -253,7 +305,7 @@ def _row(point, rep, est, result, lam, std_scale, a_at_stop, log, horizon, t_eva
     )
 
 
-def _failed_row(point, rep, est, horizon, reason):
+def _failed_row(point, rep, est, horizon, exc):
     return ReplicationRow(
         point=point,
         rep=rep,
@@ -270,129 +322,84 @@ def _failed_row(point, rep, est, horizon, reason):
         a_messages=0,
         eta_sum=0.0,
         horizon=horizon,
-        fail_reason=reason,
+        fail_reason=f"{type(exc).__name__}: {exc}",
     )
 
 
-def _grid_for(t_end: float, steps_per_unit: float) -> TimeGrid:
-    n = max(1, int(round(t_end * steps_per_unit)))
-    return TimeGrid(t_end=t_end, n_steps=n)
+def _estimate(est, point, t_end, model, stats, state, log):
+    """One estimator's result, the information at its stop, and the time
+    up to which its messages are counted."""
+    if est == CENTRALIZED_SEQUENTIAL:
+        res = centralized_estimates(stats, gamma=point)[0]
+        return res, point, res.stop_time
+    if est == DECENTRALIZED_SEQUENTIAL:
+        res = fusion.estimate_sequential(state, model, point)
+        return res, float(stats.value_at(stats.A, res.stop_time)), res.stop_time
+    if est == CENTRALIZED_FIXED:
+        res = centralized_estimates(stats, t=t_end)[0]
+    elif est == DECENTRALIZED_FIXED:
+        res = fusion.estimate_fixed(state, model, t_end)
+    else:
+        res = fusion.estimate_timing_only(log, model, t_end)
+    return res, float(stats.A[-1]), t_end
 
 
 def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
-    """Run one replication at one regime point; returns (rows, warnings)."""
+    """Run one replication at one regime point; returns (rows, warnings).
+
+    In the sequential regime a replication whose horizon is too short
+    for some estimator to stop is simulated again, from the same seed, on
+    a longer horizon.
+    """
     model = build_model(cfg.model)
     regime = cfg.regime
     point = regime.points()[point_index]
-    seed = np.random.SeedSequence([int(cfg.master_seed), point_index, rep])
-    lam = cfg.lambda_true
-    warnings = []
-
-    if regime.kind == "sequential":
-        return _replicate_sequential(cfg, model, point, rep, seed, warnings)
-
-    if regime.kind == "fixed_horizon":
-        t_end = point
-        mode, h = CONTINUOUS, None
-        delta = regime.delta_rule(point)
-    else:
-        t_end = regime.t
-        mode, h = DISCRETE, point
-        delta = regime.delta_rule(regime.t)
-        if abs(round(h * cfg.grid_steps_per_unit) - h * cfg.grid_steps_per_unit) > 1e-9:
-            raise InvalidSpec("sampling period must be an integer number of grid steps")
-
-    grid = _grid_for(t_end, cfg.grid_steps_per_unit)
-    try:
-        paths = simulate_paths(model, lam, grid, seed)
-        stats = path_statistics(paths, model)
-    except BitfuseError as exc:
-        rows = [_failed_row(point, rep, est, t_end, f"{type(exc).__name__}: {exc}")
-                for est in cfg.estimators]
-        return rows, warnings
-
-    need_fusion = any(e in (DECENTRALIZED_FIXED, TIMING_ONLY) for e in cfg.estimators)
-    log = None
-    state = None
-    if need_fusion:
-        cfgs = _trigger_configs(model, delta, None, mode, h)
-        log = _run_triggers_capped(stats, model, cfgs)
-        state = reconstruct(log, model)
-
-    a_t = float(stats.A[-1])
-    std_scale = math.sqrt(a_t) if a_t > 0 else float("nan")
-    rows = []
-    for est in cfg.estimators:
-        try:
-            if est == CENTRALIZED_FIXED:
-                res = centralized_estimates(stats, t=t_end)[0]
-            elif est == DECENTRALIZED_FIXED:
-                res = fusion.estimate_fixed(state, model, t_end)
-            elif est == TIMING_ONLY:
-                res = fusion.estimate_timing_only(log, model, t_end)
-            else:
-                raise InvalidSpec(f"estimator {est} needs a sequential regime")
-            rows.append(_row(point, rep, est, res, lam, std_scale, a_t, log, t_end, t_end))
-        except BitfuseError as exc:
-            rows.append(_failed_row(point, rep, est, t_end, f"{type(exc).__name__}: {exc}"))
-    return rows, warnings
-
-
-def _replicate_sequential(cfg, model, gamma, rep, seed, warnings):
-    regime = cfg.regime
-    delta = regime.delta_rule(gamma)
-    c = regime.c_rule(gamma)
-    lam = cfg.lambda_true
-    want_central = CENTRALIZED_SEQUENTIAL in cfg.estimators
-    want_decent = DECENTRALIZED_SEQUENTIAL in cfg.estimators
-
-    t_end = regime.initial_horizon
+    seed = cfg.replication_seed(point_index, rep)
+    cfgs = regime.trigger_configs(model, point)
+    sequential = regime.kind == "sequential"
+    # sequential rows report message counts, the oracle's included
+    need_log = any(e != CENTRALIZED_FIXED for e in cfg.estimators)
+    t_end = regime.horizon(point)
     attempt = 0
     while True:
         attempt += 1
-        grid = _grid_for(t_end, cfg.grid_steps_per_unit)
         try:
-            paths = simulate_paths(model, lam, grid, seed)
+            paths = simulate_paths(model, cfg.lambda_true, cfg.grid_for(t_end), seed)
             stats = path_statistics(paths, model)
         except BitfuseError as exc:
-            rows = [_failed_row(gamma, rep, est, t_end, f"{type(exc).__name__}: {exc}")
-                    for est in cfg.estimators]
-            return rows, warnings
-        cfgs = _trigger_configs(model, delta, c, CONTINUOUS, None)
-        log = _run_triggers_capped(stats, model, cfgs, max_level=gamma)
-        state = reconstruct(log, model)
-        try:
-            dec = fusion.estimate_sequential(state, model, gamma) if want_decent else None
-            if want_central and float(stats.A[-1]) < gamma:
-                raise HorizonExhausted("information never reaches gamma")
+            return [_failed_row(point, rep, est, t_end, exc) for est in cfg.estimators], []
+        log = state = None
+        if need_log:
+            log = _run_triggers_capped(stats, model, cfgs, max_level=point if sequential else None)
+            state = reconstruct(log, model)
+        outcomes = []
+        for est in cfg.estimators:
+            try:
+                outcomes.append(_estimate(est, point, t_end, model, stats, state, log))
+            except BitfuseError as exc:
+                outcomes.append(exc)
+        exhausted = [o for o in outcomes if isinstance(o, HorizonExhausted)]
+        if not (sequential and exhausted):
             break
-        except HorizonExhausted as exc:
-            if attempt > _MAX_HORIZON_EXTENSIONS:
-                rows = [_failed_row(gamma, rep, est, t_end, f"HorizonExhausted: {exc}")
-                        for est in cfg.estimators]
-                return rows, warnings
-            t_end = t_end + max(1.0, 0.25 * t_end)
+        if attempt > _MAX_HORIZON_EXTENSIONS:
+            return [_failed_row(point, rep, est, t_end, exhausted[0]) for est in cfg.estimators], []
+        t_end = t_end + max(1.0, 0.25 * t_end)
+    warnings = []
     if attempt > 1:
         warnings.append(
-            f"point={gamma} rep={rep}: horizon extended to {t_end:g} ({attempt - 1} extensions)"
+            f"point={point} rep={rep}: horizon extended to {t_end:g} ({attempt - 1} extensions)"
         )
 
-    std_scale = math.sqrt(gamma)
+    info = point if sequential else float(stats.A[-1])
+    std_scale = math.sqrt(info) if info > 0 else float("nan")
     rows = []
-    for est in cfg.estimators:
-        try:
-            if est == DECENTRALIZED_SEQUENTIAL:
-                a_stop = float(stats.value_at(stats.A, dec.stop_time))
-                rows.append(_row(gamma, rep, est, dec, lam, std_scale, a_stop, log,
-                                 t_end, dec.stop_time))
-            elif est == CENTRALIZED_SEQUENTIAL:
-                res = centralized_estimates(stats, gamma=gamma)[0]
-                rows.append(_row(gamma, rep, est, res, lam, std_scale, gamma, log,
-                                 t_end, res.stop_time))
-            else:
-                raise InvalidSpec(f"estimator {est} needs a fixed-horizon regime")
-        except BitfuseError as exc:
-            rows.append(_failed_row(gamma, rep, est, t_end, f"{type(exc).__name__}: {exc}"))
+    for est, out in zip(cfg.estimators, outcomes):
+        if isinstance(out, BitfuseError):
+            rows.append(_failed_row(point, rep, est, t_end, out))
+        else:
+            res, a_at_stop, t_eval = out
+            rows.append(_row(point, rep, est, res, cfg.lambda_true, std_scale, a_at_stop, log,
+                             t_end, t_eval))
     return rows, warnings
 
 

@@ -37,7 +37,6 @@ from .errors import (
 
 __all__ = [
     "ExitProblem",
-    "SeriesControl",
     "kernel_h",
     "series_g",
     "g_values",
@@ -69,20 +68,9 @@ class ExitProblem:
         return self.delta / abs(self.x)
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation and quadrature tolerances."""
-
-    abs_tol: float = 1e-12
-    quad_rel_tol: float = 1e-9
-    t_max: float | None = None
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.quad_rel_tol > 0):
-            raise InvalidSpec("tolerances must be positive")
-
-
-_DEFAULT_CONTROL = SeriesControl()
+_ABS_TOL = 1e-12  # series truncation: the tail majorant falls below this
+_QUAD_REL_TOL = 1e-9
+_CDF_GRID_POINTS = 20001
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -98,7 +86,7 @@ def kernel_h(t, x):
     return out if out.ndim else float(out)
 
 
-def series_g(t: float, x: float, ctl: SeriesControl = _DEFAULT_CONTROL) -> float:
+def series_g(t: float, x: float) -> float:
     """Driftless density of exiting the band (-x, x) at +x, at time t.
 
     For t below x^2/2 the image series sum_n h(t; (4n+1) x) is summed
@@ -114,8 +102,8 @@ def series_g(t: float, x: float, ctl: SeriesControl = _DEFAULT_CONTROL) -> float
     if not (t > 0 and x > 0):
         raise NonPositiveInputs("series requires t > 0 and x > 0")
     if t <= 0.5 * x * x:
-        return _g_image(t, x, ctl.abs_tol)
-    return _g_eigen(t, x, ctl.abs_tol)
+        return _g_image(t, x, _ABS_TOL)
+    return _g_eigen(t, x, _ABS_TOL)
 
 
 def _g_image(t, x, abs_tol):
@@ -157,13 +145,13 @@ def _g_eigen(t, x, abs_tol):
             raise QuadratureFailure("eigenfunction series did not converge")
 
 
-def g_values(t, x, ctl: SeriesControl = _DEFAULT_CONTROL) -> np.ndarray:
+def g_values(t, x) -> np.ndarray:
     """Vectorized wrapper around series_g."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return np.array([series_g(float(v), x, ctl) for v in t])
+    return np.array([series_g(float(v), x) for v in t])
 
 
-def joint_density(p: ExitProblem, t, ctl: SeriesControl = _DEFAULT_CONTROL):
+def joint_density(p: ExitProblem, t):
     """Joint density pair (p_up, p_down) of (exit time, exit side).
 
     Their ratio is exp(2 lam delta) identically in t.
@@ -171,7 +159,7 @@ def joint_density(p: ExitProblem, t, ctl: SeriesControl = _DEFAULT_CONTROL):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0):
         raise NonPositiveTime("densities require t > 0")
-    g = g_values(t_arr, p.a, ctl)
+    g = g_values(t_arr, p.a)
     damp = np.exp(-0.5 * (p.lam * p.x) ** 2 * t_arr)
     up = math.exp(p.lam * p.delta) * damp * g
     dn = math.exp(-p.lam * p.delta) * damp * g
@@ -180,28 +168,28 @@ def joint_density(p: ExitProblem, t, ctl: SeriesControl = _DEFAULT_CONTROL):
     return float(up[0]), float(dn[0])
 
 
-def _quad_to_inf(f, rel_tol):
-    val, err = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=rel_tol, limit=400)
-    if err > max(1e-9, 10 * rel_tol * abs(val)):
+def _quad_to_inf(f):
+    val, err = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=_QUAD_REL_TOL, limit=400)
+    if err > max(1e-9, 10 * _QUAD_REL_TOL * abs(val)):
         raise QuadratureFailure(f"quadrature error {err:g} too large for value {val:g}")
     return val
 
 
-def exit_functionals(p: ExitProblem, ctl: SeriesControl = _DEFAULT_CONTROL):
+def exit_functionals(p: ExitProblem):
     """Exit-side probability and exit-time moments by quadrature.
 
     Returns (prob_up, mean_delta, var_delta).
     """
     def total(t):
-        up, dn = joint_density(p, t, ctl)
+        up, dn = joint_density(p, t)
         return up + dn
 
     def up_only(t):
-        return joint_density(p, t, ctl)[0]
+        return joint_density(p, t)[0]
 
-    prob_up = _quad_to_inf(up_only, ctl.quad_rel_tol)
-    mean = _quad_to_inf(lambda t: t * total(t), ctl.quad_rel_tol)
-    second = _quad_to_inf(lambda t: t * t * total(t), ctl.quad_rel_tol)
+    prob_up = _quad_to_inf(up_only)
+    mean = _quad_to_inf(lambda t: t * total(t))
+    second = _quad_to_inf(lambda t: t * t * total(t))
     return prob_up, mean, second - mean * mean
 
 
@@ -218,31 +206,28 @@ def delta_moment_asymptotics(p: ExitProblem):
     return mean, var
 
 
-def exit_time_cdf(p: ExitProblem, ts, n_grid: int = 20001,
-                  ctl: SeriesControl = _DEFAULT_CONTROL) -> np.ndarray:
+def exit_time_cdf(p: ExitProblem, ts) -> np.ndarray:
     """CDF of the exit time at the requested points, by integrating the
     density pair on a dense grid (the integrand is smooth and vanishes
     superpolynomially at 0)."""
     ts = np.asarray(ts, dtype=float)
     t_hi = float(ts.max())
-    grid = np.linspace(0.0, t_hi, n_grid)
+    grid = np.linspace(0.0, t_hi, _CDF_GRID_POINTS)
     dens = np.zeros_like(grid)
-    up, dn = joint_density(p, grid[1:], ctl)
+    up, dn = joint_density(p, grid[1:])
     dens[1:] = up + dn
     cdf_grid = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     return np.interp(ts, grid, cdf_grid)
 
 
-def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed,
-                        bridge: bool = True):
+def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed):
     """Monte Carlo oracle: n independent draws of (exit time, exit side).
 
-    Simulates the normalized motion on a grid of step dt.  With
-    ``bridge`` enabled, undetected within-step excursions are recovered
-    by sampling the Brownian-bridge crossing probability
-    exp(-2 (a - v0)(a - v1) / dt) for each barrier, which removes the
-    O(sqrt(dt)) effective-barrier bias of plain grid monitoring; the
-    residual timing error is O(dt).
+    Simulates the normalized motion on a grid of step dt.  Undetected
+    within-step excursions are recovered by sampling the Brownian-bridge
+    crossing probability exp(-2 (a - v0)(a - v1) / dt) for each barrier,
+    which removes the O(sqrt(dt)) effective-barrier bias of plain grid
+    monitoring; the residual timing error is O(dt).
     """
     if not (n > 0 and dt > 0):
         raise InvalidSpec("need n > 0 and dt > 0")
@@ -269,26 +254,25 @@ def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed,
             theta[hard_up] = (a - v[hard_up]) / (v_new[hard_up] - v[hard_up])
         if np.any(hard_dn):
             theta[hard_dn] = (-a - v[hard_dn]) / (v_new[hard_dn] - v[hard_dn])
-        if bridge:
-            inside = ~exited
-            if np.any(inside):
-                vi, vni = v[inside], v_new[inside]
-                p_up = np.exp(-2.0 * (a - vi) * (a - vni) / dt)
-                p_dn = np.exp(-2.0 * (a + vi) * (a + vni) / dt)
-                u_up = rng.random(vi.size)
-                u_dn = rng.random(vi.size)
-                cross_up = u_up < p_up
-                cross_dn = u_dn < p_dn
-                both = cross_up & cross_dn
-                # ties are vanishingly rare; attribute them to the barrier
-                # with the larger crossing probability
-                cross_up_final = cross_up & (~both | (p_up >= p_dn))
-                cross_dn_final = cross_dn & ~cross_up_final
-                idx_inside = np.flatnonzero(inside)
-                bridged = idx_inside[cross_up_final | cross_dn_final]
-                exited[bridged] = True
-                side[idx_inside[cross_up_final]] = 1
-                side[idx_inside[cross_dn_final]] = 0
+        inside = ~exited
+        if np.any(inside):
+            vi, vni = v[inside], v_new[inside]
+            p_up = np.exp(-2.0 * (a - vi) * (a - vni) / dt)
+            p_dn = np.exp(-2.0 * (a + vi) * (a + vni) / dt)
+            u_up = rng.random(vi.size)
+            u_dn = rng.random(vi.size)
+            cross_up = u_up < p_up
+            cross_dn = u_dn < p_dn
+            both = cross_up & cross_dn
+            # ties are vanishingly rare; attribute them to the barrier
+            # with the larger crossing probability
+            cross_up_final = cross_up & (~both | (p_up >= p_dn))
+            cross_dn_final = cross_dn & ~cross_up_final
+            idx_inside = np.flatnonzero(inside)
+            bridged = idx_inside[cross_up_final | cross_dn_final]
+            exited[bridged] = True
+            side[idx_inside[cross_up_final]] = 1
+            side[idx_inside[cross_dn_final]] = 0
         done = np.flatnonzero(exited)
         if done.size:
             out_t[remaining[done]] = (step - 1) * dt + theta[done] * dt

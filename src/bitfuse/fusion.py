@@ -102,8 +102,8 @@ class FusionState:
     matching the information actually available at the fusion center.
     """
 
-    def __init__(self, log: MessageLog, model: Model, cfgs):
-        cfgs = tuple(cfgs)
+    def __init__(self, log: MessageLog, model: Model):
+        cfgs = log.cfgs
         if len(log.b) != model.K or len(log.a) != model.K or len(cfgs) != model.K:
             raise InconsistentLog("log and config must cover every sensor")
         for bm in log.b:
@@ -122,12 +122,12 @@ class FusionState:
             self._b_levels0.append(np.concatenate(([0.0], np.cumsum(jumps))))
         self._a_times = [am.time for am in log.a]
         self.delta_total = float(sum(c.delta_max for c in cfgs))
-        if model.a_deterministic or model.a_i_deterministic:
-            self.c_total = 0.0
-        else:
+        if model.sends_timing:
             self.c_total = float(
                 sum((1 + model.d_counts[i]) * cfgs[i].c for i in range(model.K))
             )
+        else:
+            self.c_total = 0.0
 
     # -- reconstructed statistics ---------------------------------------
 
@@ -184,12 +184,10 @@ class FusionState:
         return n
 
 
-def reconstruct(log: MessageLog, model: Model, cfgs=None) -> FusionState:
-    """Build the fusion-center state from a message log.
-
-    ``cfgs`` defaults to the thresholds stored with the log.
-    """
-    return FusionState(log, model, log.cfgs if cfgs is None else cfgs)
+def reconstruct(log: MessageLog, model: Model) -> FusionState:
+    """Build the fusion-center state from a message log and the
+    thresholds stored with it."""
+    return FusionState(log, model)
 
 
 def estimate_fixed(state: FusionState, model: Model, t: float) -> EstimateResult:
@@ -271,7 +269,7 @@ def estimate_timing_only(log: MessageLog, model: Model, t: float) -> EstimateRes
     if model.kind is not ModelKind.BROWNIAN_CONSTANT:
         raise UnsupportedModel("timing-only estimator is defined for independent "
                                "constant-weight Brownian sensors only")
-    state = FusionState(log, model, log.cfgs)
+    state = FusionState(log, model)
     info = float(state.checkA(t))
     if info == 0.0:
         raise NoMessages("no messages before t; the timing-only estimator is undefined")

@@ -258,6 +258,12 @@ class Model:
             if i != j and not (self.cross_deterministic[i, j] and self._cross_is_zero(i, j))
         )
 
+    @property
+    def sends_timing(self) -> bool:
+        """Whether sensors send timing messages: only when both their own
+        information and the total information are random."""
+        return not (self.a_deterministic or self.a_i_deterministic)
+
     def _setup(self, spec: ModelSpec):
         raise NotImplementedError
 

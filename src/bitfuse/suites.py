@@ -162,7 +162,7 @@ def suite_bounds(threads: int = 1) -> SuiteResult:
             TriggerConfig(
                 delta_up=tcfg.delta_up,
                 delta_down=tcfg.delta_down,
-                c=tcfg.c if not (model.a_deterministic or model.a_i_deterministic) else None,
+                c=tcfg.c if model.sends_timing else None,
             )
             for _ in range(model.K)
         )
@@ -206,7 +206,7 @@ def suite_centralized_normality(threads: int = 1) -> SuiteResult:
 
 
 @lru_cache(maxsize=1)
-def _fixed_horizon_report():
+def _fixed_horizon_report(threads: int):
     cfg = ExperimentConfig(
         model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=2, x=(1.0, 1.0)),
         lambda_true=1.0,
@@ -218,7 +218,7 @@ def _fixed_horizon_report():
         estimators=(DECENTRALIZED_FIXED, TIMING_ONLY),
         grid_steps_per_unit=20.0,
     )
-    return run_experiment(cfg)
+    return run_experiment(cfg, threads=threads)
 
 
 def suite_fixed_optimality(threads: int = 1) -> SuiteResult:
@@ -226,7 +226,7 @@ def suite_fixed_optimality(threads: int = 1) -> SuiteResult:
     standardized variance reaches 1.00 +/- 0.10 at t=10^4 and decreases
     in t within MC error."""
     ck = _Checks()
-    report = _fixed_horizon_report()
+    report = _fixed_horizon_report(threads)
     aggs = [a for a in report.aggregates if a.estimator == DECENTRALIZED_FIXED]
     aggs.sort(key=lambda a: a.point)
     n = report.config.n_replications
@@ -257,7 +257,7 @@ def suite_timing_only(threads: int = 1) -> SuiteResult:
     """Timing-only estimator at t=10^4: bias below 0.02 and standardized
     variance within 1.00 +/- 0.15."""
     ck = _Checks()
-    report = _fixed_horizon_report()
+    report = _fixed_horizon_report(threads)
     agg = next(
         a for a in report.aggregates if a.estimator == TIMING_ONLY and a.point == 10_000.0
     )
@@ -496,6 +496,9 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, threads: int = 1) -> SuiteResult:
+    """Run one named suite.  ``threads`` worker processes run the
+    replications of centralized-normality, fixed-optimality, timing-only,
+    sequential and overshoot; the other suites run serially."""
     if name not in SUITES:
         raise BitfuseError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return SUITES[name](threads=threads)

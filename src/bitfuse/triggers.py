@@ -291,11 +291,10 @@ def run_triggers(stats: PathStats, model: Model, cfgs) -> MessageLog:
     cfgs = tuple(cfgs)
     if len(cfgs) != model.K:
         raise InvalidSpec("need one trigger config per sensor")
-    needs_a = not (model.a_deterministic or model.a_i_deterministic)
     for cfg in cfgs:
-        if needs_a and cfg.c is None:
+        if model.sends_timing and cfg.c is None:
             raise InvalidSpec("information is random; timing increment c is required")
-        if not needs_a and cfg.c is not None:
+        if not model.sends_timing and cfg.c is not None:
             raise InvalidSpec("information is deterministic; c must be None")
     b_logs, a_logs = [], []
     for i in range(model.K):

@@ -139,6 +139,28 @@ def test_simulate_writes_paths_and_messages(tmp_path):
     assert len(messages) > 1
 
 
+def test_simulate_and_estimate_agree_on_discrete_thresholds(tmp_path):
+    # the bit threshold is delta_rule(t), not delta_rule(h), in both
+    doc = minimal_doc(output=str(tmp_path / "disc"))
+    doc["model"] = {"kind": "brownian_constant", "K": 1, "x": [1.0]}
+    doc["experiment"]["regime"] = {
+        "type": "discrete_sampling",
+        "t": 100.0,
+        "delta_rule": {"a": 1.0, "b": 0.25},
+        "h_list": [0.1],
+    }
+    cfg_path = _write_cfg(tmp_path, doc)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    assert main(["estimate", "--config", cfg_path]) == 0
+    messages = (tmp_path / "disc" / "messages.csv").read_text().splitlines()[1:]
+    bits = sum(1 for line in messages if line.split(",")[1] == "B")
+    estimates = (tmp_path / "disc" / "estimates.csv").read_text().splitlines()
+    header = estimates[0].split(",")
+    row = dict(zip(header, estimates[1].split(",")))
+    assert row["estimator"] == "decentralized_fixed"
+    assert bits == int(row["messages_used"]) > 0
+
+
 def test_estimate_writes_rows(tmp_path):
     doc = minimal_doc(output=str(tmp_path / "est"))
     rc = main(["estimate", "--config", _write_cfg(tmp_path, doc)])

@@ -21,6 +21,7 @@ from bitfuse.fusion import (
     CENTRALIZED_SEQUENTIAL,
     DECENTRALIZED_FIXED,
     DECENTRALIZED_SEQUENTIAL,
+    TIMING_ONLY,
     reconstruct,
 )
 from bitfuse.models import ModelKind, ModelSpec, TimeGrid, build_model, path_statistics, simulate_paths
@@ -166,17 +167,64 @@ def test_grid_refinement_must_align_with_sampling_period():
         grid_steps_per_unit=10.0,  # 0.3 * 10 = 3 steps: fine
     )
     run_experiment(cfg)
-    bad = ExperimentConfig(
-        model=cfg.model,
-        lambda_true=1.0,
-        regime=DiscreteSamplingRegime(t=100.0, delta_rule=PowerLawRule(5.0, 0.0), h_list=(0.3,)),
-        n_replications=2,
-        master_seed=2,
-        estimators=(DECENTRALIZED_FIXED,),
-        grid_steps_per_unit=7.0,  # 0.3 * 7 = 2.1 steps: invalid
-    )
     with pytest.raises(InvalidSpec):
-        run_experiment(bad)
+        ExperimentConfig(
+            model=cfg.model,
+            lambda_true=1.0,
+            regime=DiscreteSamplingRegime(
+                t=100.0, delta_rule=PowerLawRule(5.0, 0.0), h_list=(0.3,)
+            ),
+            n_replications=2,
+            master_seed=2,
+            estimators=(DECENTRALIZED_FIXED,),
+            grid_steps_per_unit=7.0,  # 0.3 * 7 = 2.1 steps: invalid
+        )
+
+
+SEQUENTIAL_RULES = dict(
+    c_rule=PowerLawRule(1.0, 0.0), delta_rule=PowerLawRule(1.0, 0.0), initial_horizon=5.0
+)
+
+
+FIXED = FixedHorizonRegime(t_list=(50.0,), delta_rule=PowerLawRule(2.0, 0.0))
+DISCRETE = DiscreteSamplingRegime(t=50.0, delta_rule=PowerLawRule(2.0, 0.0), h_list=(0.5,))
+SEQUENTIAL = SequentialRegime(gamma_list=(10.0,), **SEQUENTIAL_RULES)
+
+
+@pytest.mark.parametrize(
+    "regime, estimator",
+    [
+        (FIXED, DECENTRALIZED_SEQUENTIAL),
+        (FIXED, CENTRALIZED_SEQUENTIAL),
+        (DISCRETE, DECENTRALIZED_SEQUENTIAL),
+        (SEQUENTIAL, DECENTRALIZED_FIXED),
+        (SEQUENTIAL, CENTRALIZED_FIXED),
+        (SEQUENTIAL, TIMING_ONLY),
+    ],
+    ids=lambda v: getattr(v, "kind", v),
+)
+def test_estimator_must_suit_the_regime(regime, estimator):
+    with pytest.raises(InvalidSpec, match=regime.kind):
+        small_cfg(regime=regime, estimators=(estimator,))
+
+
+def test_gamma_below_count_budget_gives_failed_rows():
+    # c_total = K * c = 2 exceeds gamma: the decentralized stopping rule
+    # is undefined, the oracle is not
+    cfg = ExperimentConfig(
+        model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 1.0)),
+        lambda_true=0.5,
+        regime=SequentialRegime(gamma_list=(1.5,), **SEQUENTIAL_RULES),
+        n_replications=4,
+        master_seed=77,
+        estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
+        grid_steps_per_unit=200.0,
+    )
+    report = run_experiment(cfg)
+    assert len(report.rows) == 8
+    dec = [r for r in report.rows if r.estimator == DECENTRALIZED_SEQUENTIAL]
+    assert all(not r.ok and r.fail_reason.startswith("GammaTooSmall") for r in dec)
+    assert all(r.ok for r in report.rows if r.estimator == CENTRALIZED_SEQUENTIAL)
 
 
 # -- bound audit ---------------------------------------------------------------

@@ -7,7 +7,6 @@ from scipy import integrate
 from bitfuse.errors import NonPositiveInputs, NonPositiveTime, ZeroDrift
 from bitfuse.first_passage import (
     ExitProblem,
-    SeriesControl,
     _g_eigen,
     _g_image,
     delta_moment_asymptotics,
