@@ -122,12 +122,19 @@ class FusionState:
             self._b_levels0.append(np.concatenate(([0.0], np.cumsum(jumps))))
         self._a_times = [am.time for am in log.a]
         self.delta_total = float(sum(c.delta_max for c in cfgs))
-        if model.sends_timing:
-            self.c_total = float(
-                sum((1 + model.d_counts[i]) * cfgs[i].c for i in range(model.K))
-            )
-        else:
-            self.c_total = 0.0
+
+    @property
+    def c_total(self) -> float:
+        """The count budget sum_i (1 + d_i) c_i: 0 when no sensor sends
+        timing messages, ``UnsupportedModel`` when the information is
+        random but the thresholds carry no timing increment (a
+        fixed-horizon log of a random-information model)."""
+        if not self.model.sends_timing:
+            return 0.0
+        if any(cfg.c is None for cfg in self.cfgs):
+            raise UnsupportedModel("information is random but the log has no timing increment c")
+        return float(sum((1 + self.model.d_counts[i]) * self.cfgs[i].c
+                         for i in range(self.model.K)))
 
     # -- reconstructed statistics ---------------------------------------
 

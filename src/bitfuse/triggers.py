@@ -11,7 +11,13 @@ placed on the band boundary by linear interpolation and the next
 excursion restarts from the boundary value exactly, so the fusion-side
 reconstruction matches the statistic at every trigger time and the
 reconstruction gap stays below max(delta_up, delta_down) at every grid
-point by construction.  In discrete mode the statistic is inspected only
+point by construction.  Continuous mode finds its messages a leg at a
+time: a leg is a run of same-direction crossings, located with a running
+maximum (or minimum) of the path and one search for all of the leg's
+boundaries, so the cost is O(n) array passes plus one Python step per
+change of direction.  Exits that change direction often are found one at
+a time by a windowed scan; leg mode starts after a streak of
+same-direction exits.  In discrete mode the statistic is inspected only
 every h time units, the message is stamped at the sampling instant, the
 reference jumps to the sampled value, and the unobserved overshoot is
 recorded for diagnostics.
@@ -138,6 +144,17 @@ class MessageLog:
                 yield (i, "B" if kind == 0 else "A", t, bit, eta)
 
 
+_WINDOW = 256  # first scan window, in grid steps
+_MAX_WINDOW = 1 << 20
+# Leg mode starts after this many same-direction exits in a row; the
+# threshold falls by one after a leg that found at least _LEG_PAYS
+# messages and rises by one after a leg that did not (as timsort
+# adapts min_gallop).  A leg costs about as much as two isolated exits.
+_GALLOP_START = 4
+_GALLOP_MIN, _GALLOP_MAX = 2, 64
+_LEG_PAYS = 2
+
+
 def _first_exit_index(B: np.ndarray, start: int, hi: float, lo: float, window: int):
     """First index >= start where B leaves (lo, hi), scanning in growing
     chunks so the cost stays linear in the path length."""
@@ -150,7 +167,7 @@ def _first_exit_index(B: np.ndarray, start: int, hi: float, lo: float, window: i
         if mask.any():
             return start + int(np.argmax(mask))
         start = stop
-        w = min(2 * w, 1 << 20)
+        w = min(2 * w, _MAX_WINDOW)
     return None
 
 
@@ -165,14 +182,28 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMe
     that jumps through several band widths emits several messages with
     increasing interpolated times.
 
+    The messages come a leg at a time.  A leg is a run of same-direction
+    crossings; its boundaries are the running sum ref + delta,
+    ref + 2 delta, ... and each one is crossed at the first step where
+    the running extreme of the path reaches it, until the path leaves
+    the band through the other side.  A leg costs a few array passes over
+    the steps it covers.  Exits that change direction often are found
+    one at a time, each by a windowed scan, and leg mode starts after a
+    streak of same-direction exits.  So the cost is O(n) array work plus
+    one Python step per change of direction, instead of one per message.
+
     Discrete mode: the statistic is inspected only at multiples of h
     (h must be an integer multiple of the grid step); the message time is
     the sampling instant, the reference restarts from the sampled value,
     and the overshoot beyond the threshold is recorded.
+
+    A path with an infinite or NaN value is rejected (``InvalidSpec``).
     """
     B = np.asarray(B_path, dtype=float)
     if B.size != grid.n_steps + 1:
         raise InvalidSpec("statistic path length does not match the grid")
+    if not np.isfinite(B).all():
+        raise InvalidSpec("statistic path must be finite")
     if cfg.mode == DISCRETE:
         stride = int(round(cfg.h / grid.dt))
         if stride < 1 or abs(stride * grid.dt - cfg.h) > 1e-9 * cfg.h:
@@ -184,39 +215,122 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMe
 
 
 def _continuous_b_trigger(B, grid, cfg):
-    times = grid.times()
-    dt = grid.dt
     dup, ddn = cfg.delta_up, cfg.delta_down
-    out_t, out_z = [], []
-    ref = B[0]
-    k = 0
-    window = 256
+    # the crossing step and boundary level of every message, in order:
+    # finished legs as arrays in ``parts``, isolated exits since the
+    # last leg in ``idx`` and ``lev``
+    parts, idx, lev = [], [], []
+    ref = B.item(0)  # a Python float adds and compares as np.float64 does
+    start = 1  # first index not yet scanned
+    up, streak, run_from = None, 0, start
+    gallop = _GALLOP_START
     while True:
-        j = _first_exit_index(B, k + 1, ref + dup, ref - ddn, window)
+        if streak < gallop:
+            j = _first_exit_index(B, start, ref + dup, ref - ddn, _WINDOW)
+        else:
+            parts.append((np.asarray(idx, dtype=np.intp), np.asarray(lev, dtype=float)))
+            idx, lev = [], []
+            window = max(_WINDOW, 2 * (start - run_from))
+            leg_idx, leg_lev, j = _leg(B, start, ref, up, dup, ddn, window)
+            parts.append((leg_idx, leg_lev))
+            if leg_lev.size:
+                ref = leg_lev.item(-1)
+            if leg_lev.size >= _LEG_PAYS:
+                # stay in leg mode: the next leg starts at the turn
+                gallop = max(_GALLOP_MIN, gallop - 1)
+                up, run_from, start = not up, start, j
+                if j is None:
+                    break
+                continue
+            gallop = min(_GALLOP_MAX, gallop + 1)
         if j is None:
             break
-        b0, b1 = B[j - 1], B[j]
-        if b1 >= ref + dup:
-            while b1 >= ref + dup:
-                bound = ref + dup
-                theta = (bound - b0) / (b1 - b0)
-                out_t.append(times[j - 1] + theta * dt)
-                out_z.append(1)
-                ref = bound
-        else:
-            while b1 <= ref - ddn:
-                bound = ref - ddn
-                theta = (bound - b0) / (b1 - b0)
-                out_t.append(times[j - 1] + theta * dt)
-                out_z.append(0)
-                ref = bound
-        k = j
+        # an isolated exit at step j, possibly through several bands
+        b1 = B.item(j)
+        went_up = b1 >= ref + dup
+        if went_up != up:
+            up, streak, run_from = went_up, 0, j
+        streak += 1
+        step = dup if up else -ddn
+        bound = ref + step
+        while (b1 >= bound) if up else (b1 <= bound):
+            idx.append(j)
+            lev.append(bound)
+            ref = bound
+            bound = ref + step
+        start = j + 1
+    parts.append((np.asarray(idx, dtype=np.intp), np.asarray(lev, dtype=float)))
+    j = np.concatenate([p[0] for p in parts])
+    level = np.concatenate([p[1] for p in parts])
+    b0 = B[j - 1]
+    theta = (level - b0) / (B[j] - b0)
     return BMessages(
-        time=np.asarray(out_t, dtype=float),
-        bit=np.asarray(out_z, dtype=np.uint8),
-        overshoot=np.zeros(len(out_t)),
+        time=grid.times()[j - 1] + theta * grid.dt,
+        bit=(np.diff(level, prepend=B[0]) > 0).astype(np.uint8),
+        overshoot=np.zeros(level.size),
         pending=float(B[-1] - ref),
     )
+
+
+def _levels(ref, step, reach):
+    """The boundaries ref + step, ref + 2 step, ... up to the last one at
+    or below ``reach``, each the float sum of the one before and ``step``
+    (``cumsum`` adds in order, as ``ref = ref + step`` does)."""
+    out = np.full(max(1, int((reach - ref) / step) + 2), step)
+    out[0] += ref
+    out.cumsum(out=out)
+    while out[-1] <= reach:
+        more = np.full(out.size, step)
+        more[0] += out[-1]
+        out = np.concatenate((out, more.cumsum(out=more)))
+    return out[:out.searchsorted(reach, "right")]
+
+
+def _leg(B, start, ref, up, dup, ddn, window):
+    """A leg: the run of same-direction crossings found by scanning from
+    ``start`` with reference ``ref``, upward when ``up`` is true.
+
+    Returns the crossing step indices, the boundary levels, and the first
+    index where B leaves the band through the other side (None when the
+    leg runs to the end of the path).  A down leg is an up leg of -B;
+    negation is exact, so its levels are the same floats.
+    """
+    step, back = (dup, ddn) if up else (ddn, dup)
+    n = B.size
+    refx = ref if up else -ref
+    idx, lev = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    turn = None
+    while start < n:
+        x = B[start:start + window]
+        if not up:
+            x = -x
+        top = np.maximum.accumulate(x)
+        levels = _levels(refx, step, top[-1])
+        # levels[m] is first reached at hit[m]
+        hit = top.searchsorted(levels)
+        # the band's lower edge at each index: the reference moves from
+        # refs[m] to refs[m + 1] = levels[m] just after index hit[m]
+        edges = np.empty(hit.size + 2, dtype=np.intp)
+        edges[0], edges[1:-1], edges[-1] = -1, hit, x.size - 1
+        refs = np.empty(hit.size + 1)
+        refs[0], refs[1:] = refx, levels
+        refs -= back
+        out = x <= refs.repeat(edges[1:] - edges[:-1])
+        d = out.argmax()
+        if out[d]:
+            m = hit.searchsorted(d)
+            idx.append(start + hit[:m])
+            lev.append(levels[:m])
+            turn = start + int(d)
+            break
+        idx.append(start + hit)
+        lev.append(levels)
+        if levels.size:
+            refx = levels[-1]
+        start += x.size
+        window = min(2 * window, _MAX_WINDOW)
+    levels = np.concatenate(lev)
+    return np.concatenate(idx), levels if up else -levels, turn
 
 
 def _discrete_b_trigger(samples, sample_times, cfg):

@@ -227,6 +227,25 @@ def test_gamma_below_count_budget_gives_failed_rows():
     assert all(r.ok for r in report.rows if r.estimator == CENTRALIZED_SEQUENTIAL)
 
 
+def test_fixed_horizon_on_random_information_gives_failed_rows():
+    # OU information is random, so the fixed-horizon thresholds carry no
+    # timing increment c: the bit estimator is undefined, the oracle is not
+    cfg = ExperimentConfig(
+        model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 1.0)),
+        lambda_true=0.5,
+        regime=FixedHorizonRegime(t_list=(5.0,), delta_rule=PowerLawRule(1.0, 0.25)),
+        n_replications=2,
+        master_seed=1,
+        estimators=(DECENTRALIZED_FIXED, CENTRALIZED_FIXED),
+        grid_steps_per_unit=50.0,
+    )
+    report = run_experiment(cfg)
+    assert len(report.rows) == 4
+    dec = [r for r in report.rows if r.estimator == DECENTRALIZED_FIXED]
+    assert all(not r.ok and r.fail_reason.startswith("UnsupportedModel") for r in dec)
+    assert all(r.ok for r in report.rows if r.estimator == CENTRALIZED_FIXED)
+
+
 # -- bound audit ---------------------------------------------------------------
 
 

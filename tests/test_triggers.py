@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from bitfuse import triggers
 from bitfuse.errors import InvalidSpec, NonMonotoneInput, OutOfHorizon
 from bitfuse.models import ModelKind, ModelSpec, TimeGrid, build_model, path_statistics, simulate_paths
 from bitfuse.triggers import (
+    BMessages,
     TriggerConfig,
     extract_renewals,
     run_a_trigger,
@@ -80,6 +85,112 @@ def test_bit_symmetry_without_drift():
     frac = msgs.bit.mean()
     assert len(msgs) > 100_000
     assert abs(frac - 0.5) <= 0.005
+
+
+def reference_scan(B, grid, cfg):
+    """The continuous bit trigger as a plain per-step scan: at each step,
+    emit every boundary the statistic reaches, restarting the reference
+    from that boundary.  Returns the messages and each one's grid step."""
+    times, dt = grid.times().tolist(), grid.dt
+    b, ref = B.tolist(), B.item(0)
+    out_t, out_z, steps = [], [], []
+    for j in range(1, len(b)):
+        while b[j] >= ref + cfg.delta_up or b[j] <= ref - cfg.delta_down:
+            up = b[j] >= ref + cfg.delta_up
+            ref = ref + cfg.delta_up if up else ref - cfg.delta_down
+            out_t.append(times[j - 1] + (ref - b[j - 1]) / (b[j] - b[j - 1]) * dt)
+            out_z.append(int(up))
+            steps.append(j)
+    msgs = BMessages(time=np.asarray(out_t, dtype=float), bit=np.asarray(out_z, dtype=np.uint8),
+                     overshoot=np.zeros(len(out_t)), pending=float(B[-1] - ref))
+    return msgs, np.asarray(steps, dtype=int)
+
+
+def assert_same_messages(got, want):
+    for field in ("time", "bit", "overshoot"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+    assert type(got.pending) is float and got.pending == want.pending
+
+
+def assert_band_invariants(B, grid, cfg, msgs):
+    """Times strictly increasing, the bits rebuild the reference levels,
+    and B stays strictly inside the band around them at every grid
+    point (exact on an integer grid, where a boundary hit at a grid point
+    is stamped at that point)."""
+    assert np.all(np.diff(msgs.time) > 0)
+    jumps = np.where(msgs.bit == 1, cfg.delta_up, -cfg.delta_down)
+    levels = np.cumsum(np.concatenate(([B[0]], jumps)))
+    assert B[-1] - levels[-1] == msgs.pending
+    gap = B - levels[np.searchsorted(msgs.time, grid.times(), side="right")]
+    assert np.all(gap < cfg.delta_up) and np.all(gap > -cfg.delta_down)
+
+
+@st.composite
+def lattice_paths(draw):
+    """Paths whose values and thresholds sit on a lattice (exact ties for
+    the dyadic spacings), with drift of either sign and single steps
+    through several bands, on an integer grid of 1 to 500 steps."""
+    n = draw(st.integers(1, 500))
+    unit = draw(st.sampled_from([0.25, 1.0, 0.1]))
+    dup = unit * draw(st.integers(1, 4))
+    ddn = dup if draw(st.booleans()) else unit * draw(st.integers(1, 4))
+    drift = draw(st.integers(-3, 3))
+    noise = draw(hnp.arrays(np.int64, n, elements=st.integers(-4, 4) | st.integers(-30, 30)))
+    B = unit * np.concatenate(([0], np.cumsum(drift + noise))).astype(float)
+    return B, TimeGrid(float(n), n), TriggerConfig(delta_up=dup, delta_down=ddn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_paths())
+def test_continuous_trigger_matches_reference_scan(case):
+    B, grid, cfg = case
+    msgs = run_b_trigger(B, grid, cfg)
+    assert_same_messages(msgs, reference_scan(B, grid, cfg)[0])
+    assert_band_invariants(B, grid, cfg, msgs)
+
+
+def test_legs_spanning_several_windows_match_reference_scan(monkeypatch):
+    # a noisy ramp with no reversal: a message every 20 steps for 100
+    # steps, then one about every 285 steps, so one leg runs over windows
+    # of growing size, the first of them holding a single crossing
+    n = 300_000
+    grid = TimeGrid(float(n), n)
+    cfg = TriggerConfig(delta_up=1.0, delta_down=0.75)
+    rng = np.random.default_rng(2024)
+    drift = np.where(np.arange(n) < 100, 0.05, 0.0035)
+    B = np.concatenate(([0.0], np.cumsum(drift + 0.002 * rng.standard_normal(n))))
+    legs = []
+    leg = triggers._leg
+
+    def spy(B, start, ref, up, dup, ddn, window):
+        out = leg(B, start, ref, up, dup, ddn, window)
+        legs.append((start, window, out[2]))
+        return out
+
+    monkeypatch.setattr(triggers, "_leg", spy)
+    assert_same_messages(run_b_trigger(B, grid, cfg), reference_scan(B, grid, cfg)[0])
+    start, window, _ = next(c for c in legs if c[2] is None or c[2] > c[0] + 3 * c[1])
+    edge = start + 3 * window  # the first index of the leg's third window
+    for turn in (edge, edge - 1):
+        # a drop of 3 bands at ``turn`` reverses the leg exactly there
+        Bt = B.copy()
+        Bt[turn:] -= 3.0
+        legs.clear()
+        msgs = run_b_trigger(Bt, grid, cfg)
+        assert (start, window, turn) in legs
+        want, steps = reference_scan(Bt, grid, cfg)
+        assert_same_messages(msgs, want)
+        assert_band_invariants(Bt, grid, cfg, msgs)
+        assert turn in steps and msgs.bit[np.searchsorted(steps, turn)] == 0
+
+
+def test_non_finite_statistic_rejected():
+    grid = TimeGrid(1.0, 2)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidSpec):
+            run_b_trigger(np.array([0.0, bad, 0.0]), grid, symmetric(1.0))
 
 
 # -- timing trigger --------------------------------------------------------
