@@ -29,11 +29,11 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "config_hash"]
 
 _MODEL_KEYS_COMMON = {"kind", "K"}
 _MODEL_KEYS_BY_KIND = {
-    ModelKind.BROWNIAN_CONSTANT: {"x", "deterministic_cross"},
-    ModelKind.GAUSSIAN_DET_INFO: {"b", "rho", "deterministic_cross"},
-    ModelKind.ORNSTEIN_UHLENBECK: {"alpha", "deterministic_cross"},
-    ModelKind.SQUARE_ROOT_DIFFUSION: {"x", "y0", "deterministic_cross"},
-    ModelKind.CORRELATED_DIFFUSION: {"sigma", "deterministic_cross"},
+    ModelKind.BROWNIAN_CONSTANT: {"x"},
+    ModelKind.GAUSSIAN_DET_INFO: {"b", "rho"},
+    ModelKind.ORNSTEIN_UHLENBECK: {"alpha"},
+    ModelKind.SQUARE_ROOT_DIFFUSION: {"x", "y0"},
+    ModelKind.CORRELATED_DIFFUSION: {"sigma"},
 }
 _TRIGGER_KEYS = {"delta_up", "delta_down", "c", "mode", "h"}
 _EXPERIMENT_KEYS = {

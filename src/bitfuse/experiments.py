@@ -326,21 +326,21 @@ def _failed_row(point, rep, est, horizon, exc):
     )
 
 
-def _estimate(est, point, t_end, model, stats, state, log):
+def _estimate(est, point, t_end, stats, state):
     """One estimator's result, the information at its stop, and the time
     up to which its messages are counted."""
     if est == CENTRALIZED_SEQUENTIAL:
         res = centralized_estimates(stats, gamma=point)[0]
         return res, point, res.stop_time
     if est == DECENTRALIZED_SEQUENTIAL:
-        res = fusion.estimate_sequential(state, model, point)
+        res = fusion.estimate_sequential(state, point)
         return res, float(stats.value_at(stats.A, res.stop_time)), res.stop_time
     if est == CENTRALIZED_FIXED:
         res = centralized_estimates(stats, t=t_end)[0]
     elif est == DECENTRALIZED_FIXED:
-        res = fusion.estimate_fixed(state, model, t_end)
+        res = fusion.estimate_fixed(state, t_end)
     else:
-        res = fusion.estimate_timing_only(log, model, t_end)
+        res = fusion.estimate_timing_only(state, t_end)
     return res, float(stats.A[-1]), t_end
 
 
@@ -375,7 +375,7 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
         outcomes = []
         for est in cfg.estimators:
             try:
-                outcomes.append(_estimate(est, point, t_end, model, stats, state, log))
+                outcomes.append(_estimate(est, point, t_end, stats, state))
             except BitfuseError as exc:
                 outcomes.append(exc)
         exhausted = [o for o in outcomes if isinstance(o, HorizonExhausted)]

@@ -7,9 +7,9 @@ sufficient statistics:
 * ``tB_i`` jumps by +delta_up on a 1-bit and -delta_down on a 0-bit;
 * ``tA_i`` equals n*c between the n-th and (n+1)-th timing message, and
   is taken to be the exact closed form whenever it is deterministic;
-* ``tB``, ``tA`` combine these, weighting each sensor's information by
-  one plus the number of random cross terms it participates in, plus the
-  closed-form deterministic cross terms;
+* ``tB`` sums the ``tB_i``; ``tA`` is the closed form when information
+  is deterministic and otherwise sum_i (1 + d_i) tA_i, d_i the number of
+  random cross-variations sensor i takes part in;
 * ``checkA`` (independent Brownian sensors only) approximates the
   information using nothing but message times, as weight^2 times the
   elapsed time covered by completed excursions.
@@ -148,7 +148,7 @@ class FusionState:
         return total
 
     def tA_i(self, i: int, t):
-        if self.model.a_i_deterministic:
+        if self.model.deterministic_info:
             return self.model.det_info_i(i, t)
         c = self.cfgs[i].c
         counts = np.searchsorted(self._a_times[i], np.asarray(t, dtype=float), side="right")
@@ -156,15 +156,11 @@ class FusionState:
         return out if np.ndim(t) else float(out)
 
     def tA(self, t):
-        if self.model.a_deterministic:
+        if self.model.deterministic_info:
             return self.model.det_info(t)
         total = (1 + self.model.d_counts[0]) * self.tA_i(0, t)
         for i in range(1, self.model.K):
             total = total + (1 + self.model.d_counts[i]) * self.tA_i(i, t)
-        for i in range(self.model.K):
-            for j in range(self.model.K):
-                if i != j and self.model.cross_deterministic[i, j]:
-                    total = total + self.model.det_cross(i, j, t)
         return total
 
     def checkA_i(self, i: int, t):
@@ -197,13 +193,14 @@ def reconstruct(log: MessageLog, model: Model) -> FusionState:
     return FusionState(log, model)
 
 
-def estimate_fixed(state: FusionState, model: Model, t: float) -> EstimateResult:
+def estimate_fixed(state: FusionState, t: float) -> EstimateResult:
     """Fixed-horizon ratio estimator tB_t / A_t.
 
     Defined when the total information is deterministic, hence known to
     the fusion center without any timing messages.
     """
-    if not model.a_deterministic:
+    model = state.model
+    if not model.deterministic_info:
         raise UnsupportedModel("fixed-horizon estimator needs deterministic total information")
     if not t > 0:
         raise InvalidSpec("t must be positive")
@@ -220,7 +217,7 @@ def estimate_fixed(state: FusionState, model: Model, t: float) -> EstimateResult
     )
 
 
-def estimate_sequential(state: FusionState, model: Model, gamma: float) -> EstimateResult:
+def estimate_sequential(state: FusionState, gamma: float) -> EstimateResult:
     """Stop when the reconstructed information reaches gamma - c, then
     estimate with the reconstructed ratio tB / tA at the stop time.
 
@@ -229,11 +226,12 @@ def estimate_sequential(state: FusionState, model: Model, gamma: float) -> Estim
     that pushed tA over the target; with deterministic information it is
     the exact threshold time.
     """
+    model = state.model
     c = state.c_total
     if not gamma > c:
         raise GammaTooSmall(f"gamma={gamma} must exceed the count budget c={c}")
     target = gamma - c
-    if model.a_deterministic:
+    if model.deterministic_info:
         # tA == A known in closed form: invert on the horizon by bisection
         if float(model.det_info(state.horizon)) < target:
             raise HorizonExhausted("deterministic information never reaches the target; "
@@ -270,13 +268,12 @@ def estimate_sequential(state: FusionState, model: Model, gamma: float) -> Estim
     )
 
 
-def estimate_timing_only(log: MessageLog, model: Model, t: float) -> EstimateResult:
+def estimate_timing_only(state: FusionState, t: float) -> EstimateResult:
     """Ratio of the bit reconstruction to the timing-only information
     proxy, for independent constant-weight Brownian sensors."""
-    if model.kind is not ModelKind.BROWNIAN_CONSTANT:
+    if state.model.kind is not ModelKind.BROWNIAN_CONSTANT:
         raise UnsupportedModel("timing-only estimator is defined for independent "
                                "constant-weight Brownian sensors only")
-    state = FusionState(log, model)
     info = float(state.checkA(t))
     if info == 0.0:
         raise NoMessages("no messages before t; the timing-only estimator is undefined")

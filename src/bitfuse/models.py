@@ -10,6 +10,9 @@ weight process X_i; the running statistics of interest are
   nonzero, one row per pair in ``Model.cross_pairs``,
 * ``B``, ``A`` -- their totals, and ``M = B - lam * A``, a martingale.
 
+The model kind decides which information is random (see ``ModelSpec``);
+with random information the fusion center uses tA = sum_i (1 + d_i) tA_i.
+
 Paths are simulated with Euler-Maruyama on a uniform grid.  Quadratic
 (co)variations are accumulated from the model's diffusion coefficients,
 not from realized squared increments, and every component that is
@@ -48,7 +51,7 @@ __all__ = [
     "path_statistics",
 ]
 
-DEFAULT_BLOWUP_CAP = 1e12
+_BLOWUP_CAP = 1e12
 
 
 class ModelKind(str, Enum):
@@ -119,10 +122,11 @@ class ModelSpec:
       weight process is the path itself and the noise is sigma(t) dW, so
       cross-variations with a nonzero diffusion product are random.
 
-    ``deterministic_cross[i][j]`` declares which cross-variations the
-    fusion side may treat as known in closed form.  It must be symmetric
-    with a True diagonal; the diagonal is a fixed convention and carries
-    no information (per-sensor randomness follows from the kind).
+    The kind decides which information is random: all of it for the OU,
+    square-root and correlated diffusions, none for the other two.  The
+    only random cross-variations are the correlated diffusion's nonzero
+    diffusion products; with d_i of them at sensor i, the fusion center
+    uses tA = sum_i (1 + d_i) tA_i.
     """
 
     kind: ModelKind
@@ -132,7 +136,6 @@ class ModelSpec:
     rho: tuple = None
     alpha: tuple = None
     sigma: tuple = None
-    deterministic_cross: tuple = None
     y0: tuple = None
 
     def to_dict(self) -> dict:
@@ -147,8 +150,6 @@ class ModelSpec:
             d["alpha"] = list(self.alpha)
         if self.sigma is not None:
             d["sigma"] = [[f.to_dict() for f in row] for row in self.sigma]
-        if self.deterministic_cross is not None:
-            d["deterministic_cross"] = [list(row) for row in self.deterministic_cross]
         if self.y0 is not None:
             d["y0"] = list(self.y0)
         return d
@@ -168,11 +169,6 @@ class ModelSpec:
             rho=tuple(tuple(tf(v) for v in row) for row in d["rho"]) if "rho" in d else None,
             alpha=tuple(float(v) for v in d["alpha"]) if "alpha" in d else None,
             sigma=tuple(tuple(tf(v) for v in row) for row in d["sigma"]) if "sigma" in d else None,
-            deterministic_cross=tuple(
-                tuple(bool(v) for v in row) for row in d["deterministic_cross"]
-            )
-            if "deterministic_cross" in d
-            else None,
             y0=tuple(float(v) for v in d["y0"]) if "y0" in d else None,
         )
 
@@ -231,59 +227,39 @@ class Model:
     Subclasses implement ``_setup`` (field validation), the simulation
     step, the weight-process values along a path, the instantaneous
     quadratic-variation density, and closed-form deterministic parts.
+    A cross-variation that is not identically zero is random exactly when
+    the kind's information is (``deterministic_info`` False).
     """
 
     kind: ModelKind
-    a_deterministic: bool
-    a_i_deterministic: bool
+    deterministic_info: bool
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.K = spec.K
         self._setup(spec)
-        mask = spec.deterministic_cross
-        if mask is None:
-            mask = self._default_cross_mask()
-        self._validate_cross_mask(mask)
-        self.cross_deterministic = np.asarray(mask, dtype=bool)
-        off = ~self.cross_deterministic
-        np.fill_diagonal(off, False)
-        self.d_counts = off.sum(axis=1).astype(int)
-        self._check_cross_closed_forms()
         # ordered off-diagonal pairs whose cross-variation enters A
         self.cross_pairs = tuple(
             (i, j)
             for i in range(self.K)
             for j in range(self.K)
-            if i != j and not (self.cross_deterministic[i, j] and self._cross_is_zero(i, j))
+            if i != j and not self._cross_is_zero(i, j)
         )
+        self.cross_deterministic = np.ones((self.K, self.K), dtype=bool)
+        for i, j in self.cross_pairs:
+            self.cross_deterministic[i, j] = self.deterministic_info
+        self.d_counts = (~self.cross_deterministic).sum(axis=1).astype(int)
 
     @property
     def sends_timing(self) -> bool:
-        """Whether sensors send timing messages: only when both their own
-        information and the total information are random."""
-        return not (self.a_deterministic or self.a_i_deterministic)
+        """Whether sensors send timing messages: only when information is random."""
+        return not self.deterministic_info
 
     def _setup(self, spec: ModelSpec):
         raise NotImplementedError
 
-    def _default_cross_mask(self):
-        return tuple(tuple(True for _ in range(self.K)) for _ in range(self.K))
-
-    def _validate_cross_mask(self, mask):
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != (self.K, self.K):
-            raise InvalidSpec("deterministic_cross must be K x K")
-        if not np.all(np.diag(m)):
-            raise InvalidSpec("deterministic_cross diagonal must be all True")
-        if not np.array_equal(m, m.T):
-            raise InvalidSpec("deterministic_cross must be symmetric")
-
-    def _check_cross_closed_forms(self):
-        pass
-
     def _cross_is_zero(self, i: int, j: int) -> bool:
-        """Whether the closed form of a deterministic pair is identically zero."""
+        """Whether the cross-variation of an off-diagonal pair is identically zero."""
         return True
 
     # -- interface implemented per kind ---------------------------------
@@ -307,24 +283,23 @@ class Model:
         raise NotImplementedError
 
     def det_cross(self, i: int, j: int, t):
-        """Closed-form A_ij(t) for an off-diagonal pair declared deterministic."""
+        """Closed-form A_ij(t) of a deterministic off-diagonal pair."""
         if not self.cross_deterministic[i, j]:
             raise InvalidSpec(f"cross-variation ({i},{j}) is random, no closed form")
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def det_info_i(self, i: int, t):
-        """Closed-form A_i(t); only valid when a_i_deterministic."""
+        """Closed-form A_i(t); only valid when deterministic_info."""
         raise InvalidSpec("per-sensor information is random for this model")
 
     def det_info(self, t):
-        """Closed-form total A(t); only valid when a_deterministic."""
+        """Closed-form total A(t); only valid when deterministic_info."""
         raise InvalidSpec("total information is random for this model")
 
 
 class _BrownianConstantModel(Model):
     kind = ModelKind.BROWNIAN_CONSTANT
-    a_deterministic = True
-    a_i_deterministic = True
+    deterministic_info = True
 
     def _setup(self, spec):
         if spec.x is None or len(spec.x) != spec.K:
@@ -332,11 +307,6 @@ class _BrownianConstantModel(Model):
         if any(v == 0 for v in spec.x):
             raise InvalidSpec("weights x must be nonzero")
         self.x = np.asarray(spec.x, dtype=float)
-
-    def _validate_cross_mask(self, mask):
-        super()._validate_cross_mask(mask)
-        if not np.all(np.asarray(mask, dtype=bool)):
-            raise InvalidSpec("cross-variations are identically zero; mask must be all True")
 
     def simulate(self, lam, grid, rng):
         noise = rng.standard_normal((self.K, grid.n_steps)) * np.sqrt(grid.dt)
@@ -357,8 +327,7 @@ class _BrownianConstantModel(Model):
 
 class _GaussianDetInfoModel(Model):
     kind = ModelKind.GAUSSIAN_DET_INFO
-    a_deterministic = True
-    a_i_deterministic = True
+    deterministic_info = True
 
     def _setup(self, spec):
         if spec.b is None or len(spec.b) != spec.K:
@@ -424,8 +393,6 @@ class _GaussianDetInfoModel(Model):
         return self.rho[i][j](times)
 
     def det_cross(self, i, j, t):
-        if not self.cross_deterministic[i, j]:
-            raise InvalidSpec(f"cross-variation ({i},{j}) is random, no closed form")
         return self._cross_integrand[i][j].integral(t)
 
     def det_info_i(self, i, t):
@@ -437,8 +404,7 @@ class _GaussianDetInfoModel(Model):
 
 class _OrnsteinUhlenbeckModel(Model):
     kind = ModelKind.ORNSTEIN_UHLENBECK
-    a_deterministic = False
-    a_i_deterministic = False
+    deterministic_info = False
 
     def _setup(self, spec):
         if spec.alpha is None or len(spec.alpha) != spec.K:
@@ -446,11 +412,6 @@ class _OrnsteinUhlenbeckModel(Model):
         if any(a <= 0 for a in spec.alpha):
             raise InvalidSpec("alpha must be positive")
         self.alpha = np.asarray(spec.alpha, dtype=float)
-
-    def _validate_cross_mask(self, mask):
-        super()._validate_cross_mask(mask)
-        if not np.all(np.asarray(mask, dtype=bool)):
-            raise InvalidSpec("sensors are independent; mask must be all True")
 
     def simulate(self, lam, grid, rng):
         dt = grid.dt
@@ -472,8 +433,7 @@ class _OrnsteinUhlenbeckModel(Model):
 
 class _SquareRootDiffusionModel(Model):
     kind = ModelKind.SQUARE_ROOT_DIFFUSION
-    a_deterministic = False
-    a_i_deterministic = False
+    deterministic_info = False
 
     def _setup(self, spec):
         if spec.x is None or len(spec.x) != spec.K:
@@ -485,11 +445,6 @@ class _SquareRootDiffusionModel(Model):
         if len(y0) != spec.K or any(v < 0 for v in y0):
             raise InvalidSpec("y0 must give K nonnegative start values")
         self.y0 = np.asarray(y0, dtype=float)
-
-    def _validate_cross_mask(self, mask):
-        super()._validate_cross_mask(mask)
-        if not np.all(np.asarray(mask, dtype=bool)):
-            raise InvalidSpec("sensors are independent; mask must be all True")
 
     def simulate(self, lam, grid, rng):
         dt = grid.dt
@@ -513,8 +468,7 @@ class _SquareRootDiffusionModel(Model):
 
 class _CorrelatedDiffusionModel(Model):
     kind = ModelKind.CORRELATED_DIFFUSION
-    a_deterministic = False
-    a_i_deterministic = False
+    deterministic_info = False
 
     def _setup(self, spec):
         self.sigma = _as_matrix_of_timefunctions(spec.sigma, spec.K, "sigma")
@@ -527,22 +481,8 @@ class _CorrelatedDiffusionModel(Model):
             for i in range(self.K)
         )
 
-    def _default_cross_mask(self):
-        # a cross-variation is deterministic (identically zero) exactly
-        # when the corresponding diffusion product vanishes
-        return tuple(
-            tuple(True if i == j else self.alpha_fn[i][j].is_zero for j in range(self.K))
-            for i in range(self.K)
-        )
-
-    def _check_cross_closed_forms(self):
-        for i in range(self.K):
-            for j in range(self.K):
-                if i != j and self.cross_deterministic[i, j] and not self.alpha_fn[i][j].is_zero:
-                    raise InvalidSpec(
-                        f"cross-variation ({i},{j}) flagged deterministic but its "
-                        "diffusion product is nonzero; no closed form exists"
-                    )
+    def _cross_is_zero(self, i, j):
+        return self.alpha_fn[i][j].is_zero
 
     def simulate(self, lam, grid, rng):
         dt = grid.dt
@@ -578,7 +518,7 @@ _MODEL_CLASSES = {
 def build_model(spec: ModelSpec) -> Model:
     """Validate a spec and return a model with coefficient evaluators.
 
-    Raises InvalidSpec on zero weights, malformed or asymmetric masks, or
+    Raises InvalidSpec on zero weights, malformed coefficient tables, or
     a non-positive-semidefinite correlation table.
     """
     if spec.K < 1:
@@ -587,24 +527,19 @@ def build_model(spec: ModelSpec) -> Model:
     return _MODEL_CLASSES[kind](spec)
 
 
-def simulate_paths(
-    model: Model,
-    lam: float,
-    grid: TimeGrid,
-    seed,
-    cap: float = DEFAULT_BLOWUP_CAP,
-) -> SensorPaths:
+def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed) -> SensorPaths:
     """Simulate one replication of the sensor paths.
 
     The generator is seeded from ``seed`` alone (an int or a seed
     sequence), so identical (model, lam, grid, seed) inputs reproduce
-    bit-identical paths.
+    bit-identical paths.  A path beyond ``_BLOWUP_CAP`` in magnitude
+    raises ``NumericalBlowup``.
     """
     rng = np.random.default_rng(seed)
     Y = model.simulate(float(lam), grid, rng)
-    if not np.all(np.isfinite(Y)) or np.max(np.abs(Y)) > cap:
+    if not np.all(np.isfinite(Y)) or np.max(np.abs(Y)) > _BLOWUP_CAP:
         raise NumericalBlowup(
-            f"path magnitude exceeded {cap:g}; refine the grid or shorten the horizon"
+            f"path magnitude exceeded {_BLOWUP_CAP:g}; refine the grid or shorten the horizon"
         )
     return SensorPaths(grid=grid, Y=Y, lambda_true=float(lam), seed=seed)
 
@@ -617,7 +552,9 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     the model's diffusion coefficients, so the per-step cross-variation
     bound |A_ij| <= (A_i + A_j)/2 holds exactly.  Only the pairs in
     ``model.cross_pairs`` are stored, so memory is O(K*n) plus one row
-    per contributing cross pair.
+    per contributing cross pair.  An integral B_i or an information A_i
+    beyond ``_BLOWUP_CAP`` raises ``NumericalBlowup``: the triggers could
+    not send the messages such a statistic asks for.
     """
     grid = paths.grid
     times = grid.times()
@@ -631,6 +568,9 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
 
     B_i = np.zeros((K, times.size))
     np.cumsum(X * np.diff(Y, axis=1), axis=1, out=B_i[:, 1:])
+    # reductions, not abs(): no K x (n+1) temporary; NaN fails the test
+    if not (-_BLOWUP_CAP <= B_i.min() and B_i.max() <= _BLOWUP_CAP):
+        raise NumericalBlowup(f"integral B_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
 
     def random_part(i, j):
         out = np.zeros(times.size)
@@ -639,11 +579,13 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
 
     A_i = np.empty((K, times.size))
     for i in range(K):
-        A_i[i] = model.det_info_i(i, times) if model.a_i_deterministic else random_part(i, i)
+        A_i[i] = model.det_info_i(i, times) if model.deterministic_info else random_part(i, i)
+    # information is nondecreasing: its end values bound it
+    if not np.all(A_i[:, -1] <= _BLOWUP_CAP):
+        raise NumericalBlowup(f"information A_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
     A_cross = np.empty((len(model.cross_pairs), times.size))
     for row, (i, j) in zip(A_cross, model.cross_pairs):
-        deterministic = model.cross_deterministic[i, j]
-        row[:] = model.det_cross(i, j, times) if deterministic else random_part(i, j)
+        row[:] = model.det_cross(i, j, times) if model.deterministic_info else random_part(i, j)
 
     B = B_i.sum(axis=0)
     A = A_i.sum(axis=0)

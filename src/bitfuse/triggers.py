@@ -265,7 +265,7 @@ def _continuous_b_trigger(B, grid, cfg):
     b0 = B[j - 1]
     theta = (level - b0) / (B[j] - b0)
     return BMessages(
-        time=grid.times()[j - 1] + theta * grid.dt,
+        time=(j - 1) * grid.dt + theta * grid.dt,
         bit=(np.diff(level, prepend=B[0]) > 0).astype(np.uint8),
         overshoot=np.zeros(level.size),
         pending=float(B[-1] - ref),
@@ -368,10 +368,10 @@ def run_a_trigger(A_path: np.ndarray, grid: TimeGrid, c: float | None,
     the nondecreasing information path reaches n*c.
 
     Returns an empty log when c is None (the sensor never sends timing
-    messages because its information, or the total one, is
-    deterministic).  ``max_level`` optionally caps the emitted levels;
-    levels above it can never be consumed by a stopping rule targeting
-    that amount of information.
+    messages because the model's information is deterministic).
+    ``max_level`` optionally caps the emitted levels; levels above it can
+    never be consumed by a stopping rule targeting that amount of
+    information.
     """
     if c is None:
         return _empty_a()
@@ -391,16 +391,16 @@ def run_a_trigger(A_path: np.ndarray, grid: TimeGrid, c: float | None,
     prev = idx - 1
     denom = A[idx] - A[prev]
     theta = (levels - A[prev]) / denom
-    t_msg = grid.times()[prev] + theta * grid.dt
+    t_msg = prev * grid.dt + theta * grid.dt
     return AMessages(time=t_msg)
 
 
 def run_triggers(stats: PathStats, model: Model, cfgs) -> MessageLog:
     """Run all sensors' triggers over one replication's statistics.
 
-    A sensor sends timing messages only when both its own information
-    and the total information are random; in that case its config must
-    carry c, and otherwise c must be None.
+    A sensor sends timing messages only when the model's information is
+    random; in that case its config must carry c, and otherwise c must
+    be None.
     """
     cfgs = tuple(cfgs)
     if len(cfgs) != model.K:

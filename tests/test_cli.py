@@ -201,6 +201,17 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "foo" in capsys.readouterr().err
 
 
+def test_model_kind_decides_random_cross_variations(tmp_path, capsys):
+    # no run-file key overrides which cross-variations are random
+    doc = minimal_doc()
+    doc["model"]["deterministic_cross"] = [[True, True], [True, True]]
+    with pytest.raises(ValidationError) as err:
+        parse_config(json.dumps(doc))
+    assert any("deterministic_cross" in v for v in err.value.violations)
+    assert main(["experiment", "--config", _write_cfg(tmp_path, doc)]) == 1
+    assert "deterministic_cross" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1(tmp_path):
     assert main(["experiment", "--config", str(tmp_path / "nope.json")]) == 1
 

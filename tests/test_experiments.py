@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import special
@@ -26,6 +28,7 @@ from bitfuse.fusion import (
 )
 from bitfuse.models import ModelKind, ModelSpec, TimeGrid, build_model, path_statistics, simulate_paths
 from bitfuse.reporting import rows_csv_text
+from bitfuse.suites import MASTER_SEED
 from bitfuse.timefuncs import TimeFunction
 from bitfuse.triggers import TriggerConfig, run_triggers
 
@@ -244,6 +247,76 @@ def test_fixed_horizon_on_random_information_gives_failed_rows():
     dec = [r for r in report.rows if r.estimator == DECENTRALIZED_FIXED]
     assert all(not r.ok and r.fail_reason.startswith("UnsupportedModel") for r in dec)
     assert all(r.ok for r in report.rows if r.estimator == CENTRALIZED_FIXED)
+
+
+def test_statistics_flood_gives_failed_rows():
+    # replication 46 keeps max|Y| = 6.8e11, under the path cap, while one
+    # grid step moves B_i by ~2e21; the triggers used to ask for ~1e21
+    # messages at once (a 35 GiB allocation) and lose the whole run
+    cfg = ExperimentConfig(
+        model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 1.0)),
+        lambda_true=0.5,
+        regime=SequentialRegime(
+            gamma_list=(200.0,),
+            c_rule=PowerLawRule(0.5, 0.25),
+            delta_rule=PowerLawRule(0.5, 0.25),
+            initial_horizon=60.0,
+        ),
+        n_replications=100,
+        master_seed=11,
+        estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
+        grid_steps_per_unit=100.0,
+    )
+    rows = run_replication(cfg, 0, 46)
+    assert [r.estimator for r in rows] == [DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL]
+    assert all(not r.ok and r.fail_reason.startswith("NumericalBlowup") for r in rows)
+
+
+# -- pinned output bytes ---------------------------------------------------------
+#
+# sha256 of the rows CSV of two fixed-seed runs (Python 3.11, numpy 2.4).  A
+# change that deliberately moves the random stream layout or the numbers
+# updates these hashes and says so in CHANGES.md; any other change keeps them.
+
+PINNED_ROWS = (
+    (
+        "determinism-suite",
+        ExperimentConfig(
+            model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=2, x=(1.0, 2.0)),
+            lambda_true=0.7,
+            regime=FixedHorizonRegime(t_list=(50.0,), delta_rule=PowerLawRule(2.0, 0.0)),
+            n_replications=8,
+            master_seed=MASTER_SEED + 10,
+            estimators=(DECENTRALIZED_FIXED, CENTRALIZED_FIXED, TIMING_ONLY),
+            grid_steps_per_unit=50.0,
+        ),
+        "78fac038aa9217a463349b1062f151ce4817dab3d204b6535240f0f4acb1d558",
+    ),
+    (
+        "ou-sequential-extended",
+        ExperimentConfig(
+            model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 0.5)),
+            lambda_true=0.5,
+            regime=SequentialRegime(
+                gamma_list=(30.0, 60.0),
+                c_rule=PowerLawRule(0.5, 0.25),
+                delta_rule=PowerLawRule(0.5, 0.25),
+                initial_horizon=1.0,
+            ),
+            n_replications=6,
+            master_seed=7,
+            estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
+            grid_steps_per_unit=200.0,
+        ),
+        "ccbaa515c575a804160e4b8555f9d8bedf7e350b88aa4a884ca8af3d3566ba3d",
+    ),
+)
+
+
+@pytest.mark.parametrize("cfg,digest", [p[1:] for p in PINNED_ROWS], ids=[p[0] for p in PINNED_ROWS])
+def test_rows_csv_bytes_are_pinned(cfg, digest):
+    text = rows_csv_text(run_experiment(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- bound audit ---------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_fixed_estimate_is_ratio():
     m = brownian()  # information is t
     log = _log(m, b=[((1.0, 2.0, 3.0), (1, 1, 1))])
     state = reconstruct(log, m)
-    res = estimate_fixed(state, m, 10.0)
+    res = estimate_fixed(state, 10.0)
     assert res.value == pytest.approx(0.3)
     assert res.info_used == pytest.approx(10.0)
     assert res.messages_used == 3
@@ -120,14 +120,14 @@ def test_fixed_estimate_is_ratio():
 def test_fixed_estimate_without_messages_is_zero():
     m = brownian()
     state = reconstruct(_log(m), m)
-    assert estimate_fixed(state, m, 5.0).value == 0.0
+    assert estimate_fixed(state, 5.0).value == 0.0
 
 
 def test_fixed_estimate_requires_deterministic_information():
     m = ou()
     state = reconstruct(_log(m, c=1.0), m)
     with pytest.raises(UnsupportedModel):
-        estimate_fixed(state, m, 1.0)
+        estimate_fixed(state, 1.0)
 
 
 def test_fixed_estimator_consistency_long_horizon(brownian_k1_long_report):
@@ -145,7 +145,7 @@ def test_sequential_stops_at_count_threshold():
     m = ou()
     log = _log(m, a=[(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)], c=1.0, horizon=10.0)
     state = reconstruct(log, m)
-    res = estimate_sequential(state, m, gamma=5.0)
+    res = estimate_sequential(state, gamma=5.0)
     assert res.stop_time == pytest.approx(4.0)
     assert res.info_used == pytest.approx(4.0)
     assert res.value == 0.0  # no bit messages in this crafted log
@@ -155,14 +155,14 @@ def test_sequential_rejects_small_gamma():
     m = ou()
     state = reconstruct(_log(m, a=[(1.0,)], c=1.0), m)
     with pytest.raises(GammaTooSmall):
-        estimate_sequential(state, m, gamma=1.0)
+        estimate_sequential(state, gamma=1.0)
 
 
 def test_sequential_horizon_exhausted():
     m = ou()
     state = reconstruct(_log(m, a=[(1.0, 2.0)], c=1.0, horizon=3.0), m)
     with pytest.raises(HorizonExhausted):
-        estimate_sequential(state, m, gamma=50.0)
+        estimate_sequential(state, gamma=50.0)
 
 
 def _ou_sequential_report(gamma=300.0, n=1000):
@@ -247,7 +247,7 @@ def test_sequential_error_decomposition_bound():
         log = run_triggers(stats, model, cfgs)
         state = reconstruct(log, model)
         try:
-            res = estimate_sequential(state, model, gamma)
+            res = estimate_sequential(state, gamma)
         except HorizonExhausted:
             continue
         m_stop = float(stats.value_at(stats.M, res.stop_time))
@@ -261,7 +261,7 @@ def test_sequential_error_decomposition_bound():
 def test_timing_only_arithmetic():
     m = brownian()
     log = _log(m, b=[((2.0, 3.0), (1, 1))], delta=1.0)
-    res = estimate_timing_only(log, m, 3.5)
+    res = estimate_timing_only(reconstruct(log, m), 3.5)
     assert res.info_used == pytest.approx(3.0)
     assert res.value == pytest.approx(2.0 / 3.0)
 
@@ -269,10 +269,10 @@ def test_timing_only_arithmetic():
 def test_timing_only_requires_messages_and_model():
     m = brownian()
     with pytest.raises(NoMessages):
-        estimate_timing_only(_log(m), m, 1.0)
+        estimate_timing_only(reconstruct(_log(m), m), 1.0)
     m2 = ou()
     with pytest.raises(UnsupportedModel):
-        estimate_timing_only(_log(m2, c=1.0), m2, 1.0)
+        estimate_timing_only(reconstruct(_log(m2, c=1.0), m2), 1.0)
 
 
 def test_timing_only_consistency_long_horizon(brownian_k1_long_report):

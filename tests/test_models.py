@@ -52,15 +52,6 @@ def test_gaussian_unit_coefficients_give_linear_information():
 def test_build_model_rejects_bad_specs():
     with pytest.raises(InvalidSpec):
         build_model(ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=2, x=(1.0, 0.0)))
-    with pytest.raises(InvalidSpec):
-        build_model(
-            ModelSpec(
-                kind=ModelKind.BROWNIAN_CONSTANT,
-                K=2,
-                x=(1.0, 1.0),
-                deterministic_cross=((True, True), (False, True)),
-            )
-        )
     bad_rho = ((CONST(1.0), CONST(2.0)), (CONST(2.0), CONST(1.0)))  # not PSD
     with pytest.raises(InvalidSpec):
         build_model(
@@ -68,19 +59,6 @@ def test_build_model_rejects_bad_specs():
         )
     with pytest.raises(InvalidSpec):
         build_model(ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=1, alpha=(0.0,)))
-
-
-def test_correlated_cannot_flag_nonzero_cross_as_deterministic():
-    sig = ((CONST(1.0), CONST(0.0)), (CONST(0.5), CONST(1.0)))
-    with pytest.raises(InvalidSpec):
-        build_model(
-            ModelSpec(
-                kind=ModelKind.CORRELATED_DIFFUSION,
-                K=2,
-                sigma=sig,
-                deterministic_cross=((True, True), (True, True)),
-            )
-        )
 
 
 # -- simulate_paths ------------------------------------------------------
@@ -165,6 +143,20 @@ def test_blowup_detection():
     m = build_model(ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=1, alpha=(1.0,)))
     with pytest.raises(NumericalBlowup):
         simulate_paths(m, 100.0, TimeGrid(50.0, 50), seed=1)
+
+
+def test_statistics_blowup_detection():
+    # each path stays far under the cap while its integral B_i (up, then
+    # down) or its information A_i does not
+    m = build_model(ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=1, alpha=(1.0,)))
+    for grid, y, what in (
+        (TimeGrid(1e-6, 2), (0.0, 1e6, 3e6), "B_i"),
+        (TimeGrid(1e-6, 2), (0.0, 1e6, -1e6), "B_i"),
+        (TimeGrid(1e6, 2), (0.0, 1e4, 1e4), "A_i"),
+    ):
+        p = SensorPaths(grid=grid, Y=np.array([y]), lambda_true=0.1, seed=0)
+        with pytest.raises(NumericalBlowup, match=what):
+            path_statistics(p, m)
 
 
 # -- path_statistics -----------------------------------------------------
@@ -295,6 +287,36 @@ def test_cross_pairs_are_the_pairs_that_can_be_nonzero():
     assert s.A_cross.shape == (2, 401)
     np.testing.assert_array_equal(s.A_cross[0], s.A_cross[1])
     assert brownian(K=3, x=(1.0, 2.0, 3.0)).cross_pairs == ()
+
+
+def test_random_information_stores_only_random_cross_pairs():
+    # with random information the fusion center's tA is the weighted sum
+    # of the tA_i alone, so no stored cross pair may be deterministic
+    sig3 = (
+        (CONST(1.0), CONST(0.0), CONST(0.0)),
+        (CONST(0.5), CONST(1.0), CONST(0.0)),
+        (CONST(0.0), CONST(0.0), CONST(0.8)),
+    )
+    sig_diag = ((CONST(1.0), CONST(0.0)), (CONST(0.0), CONST(0.7)))
+    specs = [spec for spec, _ in ALL_CATALOG] + [
+        ModelSpec(kind=ModelKind.CORRELATED_DIFFUSION, K=3, sigma=sig3),
+        ModelSpec(kind=ModelKind.CORRELATED_DIFFUSION, K=2, sigma=sig_diag),
+    ]
+    kinds = set()
+    for spec in specs:
+        m = build_model(spec)
+        if m.deterministic_info:
+            continue
+        kinds.add(m.kind)
+        assert all(not m.cross_deterministic[i, j] for i, j in m.cross_pairs)
+        per_sensor = [sum(1 for i, _ in m.cross_pairs if i == k) for k in range(m.K)]
+        assert m.d_counts.tolist() == per_sensor
+    assert kinds == {
+        ModelKind.ORNSTEIN_UHLENBECK,
+        ModelKind.SQUARE_ROOT_DIFFUSION,
+        ModelKind.CORRELATED_DIFFUSION,
+    }
+    assert build_model(specs[-1]).d_counts.tolist() == [0, 0]
 
 
 def test_score_is_martingale_with_matching_quadratic_variation():
