@@ -11,12 +11,19 @@ pair
     p_down(t) = exp(-lam*delta - (lam*x)^2 t / 2) * g(t; a)
 
 where g is the driftless density of exiting at +a.  Two complementary
-series for g are used: a reflection (image) series accurate for small t
-and an eigenfunction series accurate for large t; truncation is chosen
-from explicit tail majorants, never a fixed term count.
+series for g are used: a reflection (image) series for t <= a^2/2 and an
+eigenfunction series beyond.  Both are evaluated on whole arrays of t.
+Truncation is chosen from explicit tail majorants, never a fixed term
+count: per call and per series, the term count is the one the majorant
+needs at the hardest point, the largest t for the image series and the
+smallest t for the eigenfunction series, and every point then sums that
+many terms in one matrix-vector product.
 
 Every functional below is cross-checked in the test suite against an
-independent Monte Carlo oracle (``simulate_exit_times``).
+independent Monte Carlo oracle (``simulate_exit_times``).  The oracle
+walks all its draws at once, a block of steps at a time, with at most
+2^14 walker-steps per block (one step per walker while more than 2^14
+remain), so its memory does not grow with the time walkers survive.
 """
 
 from __future__ import annotations
@@ -71,6 +78,9 @@ class ExitProblem:
 _ABS_TOL = 1e-12  # series truncation: the tail majorant falls below this
 _QUAD_REL_TOL = 1e-9
 _CDF_GRID_POINTS = 20001
+_WALK_BLOCK = 1 << 14  # Monte Carlo walk: walkers x steps drawn at once
+_EXP_FLOOR = -700.0  # exp is fast above this and still far above its underflow
+_EXP_FLOOR_PROB = float(np.exp(_EXP_FLOOR))
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -87,68 +97,82 @@ def kernel_h(t, x):
 
 
 def series_g(t: float, x: float) -> float:
-    """Driftless density of exiting the band (-x, x) at +x, at time t.
-
-    For t below x^2/2 the image series sum_n h(t; (4n+1) x) is summed
-    with a Gaussian-tail majorant deciding the truncation.  For larger t
-    the eigenfunction series
-
-        (pi / (4 x^2)) * sum_k (-1)^k (2k+1) exp(-(2k+1)^2 pi^2 t / (8 x^2))
-
-    converges geometrically and avoids the catastrophic cancellation the
-    image series suffers there; its terms decrease, so the value is
-    manifestly nonnegative.
-    """
-    if not (t > 0 and x > 0):
-        raise NonPositiveInputs("series requires t > 0 and x > 0")
-    if t <= 0.5 * x * x:
-        return _g_image(t, x, _ABS_TOL)
-    return _g_eigen(t, x, _ABS_TOL)
-
-
-def _g_image(t, x, abs_tol):
-    total = kernel_h(t, x)
-    n = 1
-    while True:
-        total += kernel_h(t, (4 * n + 1) * x) + kernel_h(t, (-4 * n + 1) * x)
-        u0 = (4 * n + 3) * x
-        if u0 * u0 >= t:
-            # remaining |arguments| form the lattice u0, u0+2x, ...; each
-            # |term| is phi(u) = u exp(-u^2/2t)/sqrt(2 pi t^3), decreasing
-            # beyond sqrt(t), so the tail is at most
-            # phi(u0) + (1/2x) * integral_{u0}^inf phi = phi(u0) + t*exp(-u0^2/2t)/(2x sqrt(2 pi t^3))
-            tail = (u0 + t / (2.0 * x)) * math.exp(-u0 * u0 / (2.0 * t)) / (
-                _SQRT_2PI * t**1.5
-            )
-            if tail < abs_tol:
-                return total
-        n += 1
-        if n > 10**6:
-            raise QuadratureFailure("image series did not converge")
-
-
-def _g_eigen(t, x, abs_tol):
-    scale = math.pi / (4.0 * x * x)
-    rate = math.pi * math.pi * t / (8.0 * x * x)
-    total = 0.0
-    k = 0
-    while True:
-        m = 2 * k + 1
-        term = scale * m * math.exp(-m * m * rate)
-        total += term if k % 2 == 0 else -term
-        # next term bounds the alternating tail
-        m2 = m + 2
-        if scale * m2 * math.exp(-m2 * m2 * rate) < abs_tol:
-            return total
-        k += 1
-        if k > 10**6:
-            raise QuadratureFailure("eigenfunction series did not converge")
+    """Driftless density of exiting the band (-x, x) at +x, at time t:
+    the one-point case of ``g_values``."""
+    return float(g_values(t, x)[0])
 
 
 def g_values(t, x) -> np.ndarray:
-    """Vectorized wrapper around series_g."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return np.array([series_g(float(v), x) for v in t])
+    """Driftless density of exiting the band (-x, x) at +x, at every
+    time in ``t``, with the shape of ``np.atleast_1d(t)``.
+
+    Points with t <= x^2/2 sum the image series sum_n h(t; (4n+1) x);
+    larger t sum the eigenfunction series
+
+        (pi / (4 x^2)) * sum_k (-1)^k (2k+1) exp(-(2k+1)^2 pi^2 t / (8 x^2)),
+
+    which converges geometrically there and avoids the catastrophic
+    cancellation the image series suffers; its terms decrease, so the
+    value is manifestly nonnegative.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = t.reshape(1)
+    if not (x > 0 and (t > 0).all()):
+        raise NonPositiveInputs("series requires t > 0 and x > 0")
+    out = np.empty(t.shape)
+    image = t <= 0.5 * x * x
+    for part, series in ((image, _g_image), (~image, _g_eigen)):
+        if part.any():
+            out[part] = series(t[part], x, _ABS_TOL)
+    return out
+
+
+def _g_image(t, x, abs_tol):
+    """Image series at the times t, with the term count the largest t needs."""
+    t = np.asarray(t, dtype=float)
+    t_max = float(t.max())
+    n = 1
+    while True:
+        u0 = (4 * n + 3) * x
+        if u0 * u0 >= t_max:
+            # beyond the arguments (4n'+1)x, |n'| <= n, the remaining
+            # |arguments| form the lattice u0, u0+2x, ...; each |term| is
+            # phi(u) = u exp(-u^2/2t)/sqrt(2 pi t^3), decreasing beyond
+            # sqrt(t), so the tail is at most
+            # phi(u0) + (1/2x) * integral_{u0}^inf phi = phi(u0) + t*exp(-u0^2/2t)/(2x sqrt(2 pi t^3)),
+            # which grows with t
+            tail = (u0 + t_max / (2.0 * x)) * math.exp(
+                -u0 * u0 / (2.0 * t_max) - 1.5 * math.log(t_max)
+            ) / _SQRT_2PI
+            if tail < abs_tol:
+                break
+        n += 1
+        if n > 10**6:
+            raise QuadratureFailure("image series did not converge")
+    # sum_u h(t; u) = sum_u u exp(-u^2 / 2t - 1.5 log t) / sqrt(2 pi), one
+    # matrix-vector product over the arguments u = (4n'+1)x; t^-1.5 stays
+    # in the exponent, where a tiny t gives 0 instead of 0 * inf
+    u = (4.0 * np.arange(-n, n + 1) + 1.0) * x
+    return np.exp(np.multiply.outer(-0.5 / t, u * u) - 1.5 * np.log(t)[..., None]) @ u / _SQRT_2PI
+
+
+def _g_eigen(t, x, abs_tol):
+    """Eigenfunction series at the times t, with the term count the smallest t needs."""
+    t = np.asarray(t, dtype=float)
+    scale = math.pi / (4.0 * x * x)
+    rate_min = math.pi * math.pi * float(t.min()) / (8.0 * x * x)
+    k = 0
+    # the next term bounds the alternating tail, and shrinks as t grows
+    while scale * (2 * k + 3) * math.exp(-((2 * k + 3) ** 2) * rate_min) >= abs_tol:
+        k += 1
+        if k > 10**6:
+            raise QuadratureFailure("eigenfunction series did not converge")
+    m = 2.0 * np.arange(k + 1) + 1.0
+    signed = scale * m
+    signed[1::2] *= -1.0
+    rate = math.pi * math.pi / (8.0 * x * x) * t
+    return np.exp(np.multiply.outer(-rate, m * m)) @ signed
 
 
 def joint_density(p: ExitProblem, t):
@@ -157,12 +181,11 @@ def joint_density(p: ExitProblem, t):
     Their ratio is exp(2 lam delta) identically in t.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0):
+    if (t_arr <= 0).any():
         raise NonPositiveTime("densities require t > 0")
-    g = g_values(t_arr, p.a)
-    damp = np.exp(-0.5 * (p.lam * p.x) ** 2 * t_arr)
-    up = math.exp(p.lam * p.delta) * damp * g
-    dn = math.exp(-p.lam * p.delta) * damp * g
+    damped = np.exp(-0.5 * (p.lam * p.x) ** 2 * t_arr) * g_values(t_arr, p.a)
+    up = math.exp(p.lam * p.delta) * damped
+    dn = math.exp(-p.lam * p.delta) * damped
     if np.ndim(t):
         return up, dn
     return float(up[0]), float(dn[0])
@@ -209,15 +232,82 @@ def delta_moment_asymptotics(p: ExitProblem):
 def exit_time_cdf(p: ExitProblem, ts) -> np.ndarray:
     """CDF of the exit time at the requested points, by integrating the
     density pair on a dense grid (the integrand is smooth and vanishes
-    superpolynomially at 0)."""
+    superpolynomially at 0).  Points at or below 0 give 0; the points
+    must be finite."""
     ts = np.asarray(ts, dtype=float)
-    t_hi = float(ts.max())
+    if not np.all(np.isfinite(ts)):
+        raise InvalidSpec("exit-time CDF points must be finite")
+    t_hi = float(ts.max(initial=0.0))
+    if t_hi == 0.0:
+        return np.zeros(ts.shape)
     grid = np.linspace(0.0, t_hi, _CDF_GRID_POINTS)
     dens = np.zeros_like(grid)
     up, dn = joint_density(p, grid[1:])
     dens[1:] = up + dn
     cdf_grid = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     return np.interp(ts, grid, cdf_grid)
+
+
+def _first_exits(v, z, u, a, drift, sdt, dt):
+    """First exit of each walker within one block of steps.
+
+    ``v`` holds the m walkers' start values, ``z`` (m, S) their standard
+    normal draws, so that a step adds drift + sdt * z, and ``u``
+    (2, m, S) the uniforms of the up and down bridge tests.  A step that
+    ends on or beyond a barrier is a hard exit, at the linear-interpolation
+    fraction theta of the step.  A step from v0 that ends inside at v1 is
+    a bridged exit, at theta = 1/2, when a uniform falls below its
+    barrier's crossing probability exp(-2 (a - v0)(a - v1) / dt) or
+    exp(-2 (a + v0)(a + v1) / dt); when both bridges fire, the larger
+    probability wins.
+
+    Returns the rows of the walkers that exited, their exit step within
+    the block, theta and side (1 up, 0 down), and every walker's value at
+    the end of the block.
+    """
+    m = z.shape[0]
+    path = drift + sdt * z
+    path[:, 0] += v
+    np.cumsum(path, axis=1, out=path)
+    p = []
+    for gap, start, uniform in ((a - path, a - v, u[0]), (a + path, a + v, u[1])):
+        # exponent -2 * gap(v0) * gap(v1) / dt of every step; dividing by
+        # -dt/2 rounds exactly as multiplying by -2 and dividing by dt.
+        # Products across row ends are overwritten by the first column.
+        expo = np.empty_like(gap)
+        flat_gap, flat_expo = gap.reshape(-1), expo.reshape(-1)
+        np.multiply(flat_gap[:-1], flat_gap[1:], out=flat_expo[1:])
+        expo[:, 0] = start * gap[:, 0]
+        expo /= -0.5 * dt
+        # A hard exit has a nonpositive gap after the step, so its
+        # exponent is >= 0 and its uniform always falls below the
+        # probability: the bridge test finds hard exits too.  numpy's exp
+        # is slow near and past underflow, so the exponent is floored at
+        # _EXP_FLOOR.  Flooring changes no test of a uniform at or above
+        # exp(_EXP_FLOOR), about 1e-304; the rare smaller ones get the
+        # unfloored probability.  Steps after a walker's exit may
+        # overflow and are never read.
+        with np.errstate(over="ignore"):
+            prob = np.exp(np.maximum(expo, _EXP_FLOOR))
+            tiny = uniform < _EXP_FLOOR_PROB
+            if tiny.any():
+                prob[tiny] = np.exp(expo[tiny])
+        p.append(prob)
+    p_up, p_dn = p
+    event = (u[0] < p_up) | (u[1] < p_dn)
+    step = event.argmax(axis=1)
+    rows = np.flatnonzero(event[np.arange(m), step])
+    step = step[rows]
+    v1 = path[rows, step]
+    v0 = np.where(step > 0, path[rows, step - 1], v[rows])
+    pu, pd = p_up[rows, step], p_dn[rows, step]
+    hard_up, hard_dn = v1 >= a, v1 <= -a
+    bridged_up = (u[0, rows, step] < pu) & ((u[1, rows, step] >= pd) | (pu >= pd))
+    up = hard_up | (~hard_dn & bridged_up)
+    theta = np.full(rows.size, 0.5)
+    theta[hard_up] = (a - v0[hard_up]) / (v1[hard_up] - v0[hard_up])
+    theta[hard_dn] = (-a - v0[hard_dn]) / (v1[hard_dn] - v0[hard_dn])
+    return rows, step, theta, up.astype(np.uint8), path[:, -1]
 
 
 def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed):
@@ -228,58 +318,39 @@ def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed):
     crossing probability exp(-2 (a - v0)(a - v1) / dt) for each barrier,
     which removes the O(sqrt(dt)) effective-barrier bias of plain grid
     monitoring; the residual timing error is O(dt).
+
+    The m walkers that have not exited advance a block of S steps at a
+    time: one (m, S) draw of normals and one (2, m, S) draw of uniforms,
+    a cumulative sum from each walker's current value, and each walker's
+    first exit from one pass over the block (``_first_exits``).  S is the
+    largest step count with m*S <= ``_WALK_BLOCK`` = 2^14, and 1 while
+    more walkers remain, so a block's temporaries are a few MB beside the
+    n-long outputs, and blocks lengthen as walkers exit.  Exits follow
+    the per-step rules exactly; which draws a seed assigns to which step
+    depends on this block layout.
     """
-    if not (n > 0 and dt > 0):
-        raise InvalidSpec("need n > 0 and dt > 0")
+    if not (isinstance(n, (int, np.integer)) and n > 0 and dt > 0 and math.isfinite(dt)):
+        raise InvalidSpec("need an integer n > 0 and a finite dt > 0")
     rng = np.random.default_rng(seed)
     a = p.a
-    mu = p.lam * abs(p.x)
+    drift = p.lam * abs(p.x) * dt
     sdt = math.sqrt(dt)
 
     remaining = np.arange(n)
     v = np.zeros(n)
     out_t = np.empty(n)
     out_z = np.empty(n, dtype=np.uint8)
-    step = 0
+    steps_before = 0
     while remaining.size:
-        step += 1
-        z = rng.standard_normal(remaining.size)
-        v_new = v + mu * dt + sdt * z
-        hard_up = v_new >= a
-        hard_dn = v_new <= -a
-        exited = hard_up | hard_dn
-        theta = np.full(remaining.size, 0.5)
-        side = hard_up.astype(np.uint8)
-        if np.any(hard_up):
-            theta[hard_up] = (a - v[hard_up]) / (v_new[hard_up] - v[hard_up])
-        if np.any(hard_dn):
-            theta[hard_dn] = (-a - v[hard_dn]) / (v_new[hard_dn] - v[hard_dn])
-        inside = ~exited
-        if np.any(inside):
-            vi, vni = v[inside], v_new[inside]
-            p_up = np.exp(-2.0 * (a - vi) * (a - vni) / dt)
-            p_dn = np.exp(-2.0 * (a + vi) * (a + vni) / dt)
-            u_up = rng.random(vi.size)
-            u_dn = rng.random(vi.size)
-            cross_up = u_up < p_up
-            cross_dn = u_dn < p_dn
-            both = cross_up & cross_dn
-            # ties are vanishingly rare; attribute them to the barrier
-            # with the larger crossing probability
-            cross_up_final = cross_up & (~both | (p_up >= p_dn))
-            cross_dn_final = cross_dn & ~cross_up_final
-            idx_inside = np.flatnonzero(inside)
-            bridged = idx_inside[cross_up_final | cross_dn_final]
-            exited[bridged] = True
-            side[idx_inside[cross_up_final]] = 1
-            side[idx_inside[cross_dn_final]] = 0
-        done = np.flatnonzero(exited)
-        if done.size:
-            out_t[remaining[done]] = (step - 1) * dt + theta[done] * dt
-            out_z[remaining[done]] = side[done]
-            keep = ~exited
-            remaining = remaining[keep]
-            v = v_new[keep]
-        else:
-            v = v_new
+        m = remaining.size
+        S = max(1, _WALK_BLOCK // m)
+        z = rng.standard_normal((m, S))
+        u = rng.random((2, m, S))
+        rows, step, theta, up, v_end = _first_exits(v, z, u, a, drift, sdt, dt)
+        out_t[remaining[rows]] = (steps_before + step) * dt + theta * dt
+        out_z[remaining[rows]] = up
+        keep = np.ones(m, dtype=bool)
+        keep[rows] = False
+        remaining, v = remaining[keep], v_end[keep]
+        steps_before += S
     return out_t, out_z

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
-from bitfuse.errors import NonPositiveInputs, NonPositiveTime, ZeroDrift
+from bitfuse.errors import InvalidSpec, NonPositiveInputs, NonPositiveTime, ZeroDrift
 from bitfuse.first_passage import (
     ExitProblem,
+    _first_exits,
     _g_eigen,
     _g_image,
     delta_moment_asymptotics,
@@ -63,6 +67,23 @@ def test_series_nonnegative_on_grid_sweep():
     for x in (0.3, 1.0, 2.5):
         ts = np.geomspace(1e-3 * x * x, 50 * x * x, 200)
         assert np.all(g_values(ts, x) >= 0.0)
+
+
+@pytest.mark.parametrize("x", [0.3, 1.0, 2.5])
+def test_vector_series_matches_scalar_truncation(x):
+    # points on both sides of the crossover t = x^2/2 and on it, in one
+    # call, so each branch takes its term count from its extreme point
+    crossover = 0.5 * x * x
+    ts = crossover * np.array([0.02, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 8.0, 40.0])
+    g = g_values(ts, x)
+    tight = np.array([float(_g_image(t, x, 1e-15)) if t <= crossover else float(_g_eigen(t, x, 1e-15))
+                      for t in ts])
+    assert np.max(np.abs(g - tight)) <= 2e-12
+    one_by_one = np.array([series_g(t, x) for t in ts])
+    assert np.max(np.abs(g - one_by_one)) <= 2e-12
+    assert np.all(g >= 0.0)
+    empty = g_values(np.array([]), x)
+    assert empty.shape == (0,)
 
 
 def test_series_rejects_nonpositive_inputs():
@@ -144,6 +165,136 @@ def test_cdf_matches_quadrature_mass():
         direct, _ = integrate.quad(lambda t: float(sum(joint_density(p, t))), 0, t_end,
                                    epsabs=1e-12, epsrel=1e-10, limit=200)
         assert F_val == pytest.approx(direct, abs=5e-7)
+
+
+P_KS = ExitProblem(delta=1.0, x=1.0, lam=1.0)
+
+
+def test_cdf_of_no_points_is_empty():
+    F = exit_time_cdf(P_KS, [])
+    assert F.shape == (0,)
+
+
+def test_cdf_is_zero_at_and_below_time_zero():
+    np.testing.assert_array_equal(exit_time_cdf(P_KS, [0.0]), [0.0])
+    F = exit_time_cdf(P_KS, [-1.0, 0.0, 0.5])
+    assert F[0] == 0.0 and F[1] == 0.0
+    assert F[2] == exit_time_cdf(P_KS, [0.5])[0] > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_cdf_rejects_nonfinite_points(bad):
+    with pytest.raises(InvalidSpec):
+        exit_time_cdf(P_KS, [0.5, bad])
+
+
+def test_series_and_cdf_vanish_at_tiny_times():
+    # t**1.5 underflows below about 1e-206; the density there is 0
+    g = g_values([1e-250, 1e-3], 1.0)
+    assert g[0] == 0.0 and np.isfinite(g[1])
+    np.testing.assert_array_equal(exit_time_cdf(P_KS, [1e-250]), [0.0])
+
+
+def test_exit_times_reject_fractional_draw_count():
+    with pytest.raises(InvalidSpec):
+        simulate_exit_times(P_KS, 2.5, dt=1e-3, seed=1)
+
+
+# -- the blocked Monte Carlo walk ------------------------------------------------
+
+
+def reference_walk(v, z, u, a, drift, sdt, dt):
+    """The walk over one block as the per-step loop did it: each step moves
+    the walkers left by drift + sdt * z, exits those on or beyond a barrier
+    and bridge-tests the others.  Returns the exited rows, their step,
+    theta and side, and the values after the block."""
+    alive, v = np.arange(z.shape[0]), v.copy()
+    rows, steps, thetas, sides = [], [], [], []
+    for k in range(z.shape[1]):
+        v0 = v[alive]
+        # the increment is formed first, as a cumulative sum of increments adds it
+        v1 = v0 + (drift + sdt * z[alive, k])
+        hard_up, hard_dn = v1 >= a, v1 <= -a
+        theta, side = np.full(alive.size, 0.5), hard_up.astype(np.uint8)
+        theta[hard_up] = (a - v0[hard_up]) / (v1[hard_up] - v0[hard_up])
+        theta[hard_dn] = (-a - v0[hard_dn]) / (v1[hard_dn] - v0[hard_dn])
+        inside = ~(hard_up | hard_dn)
+        vi, vni, ai = v0[inside], v1[inside], alive[inside]
+        p_up = np.exp(-2.0 * (a - vi) * (a - vni) / dt)
+        p_dn = np.exp(-2.0 * (a + vi) * (a + vni) / dt)
+        cross_up, cross_dn = u[0, ai, k] < p_up, u[1, ai, k] < p_dn
+        side[inside] = cross_up & (~(cross_up & cross_dn) | (p_up >= p_dn))
+        exited = ~inside
+        exited[inside] = cross_up | cross_dn
+        rows += alive[exited].tolist()
+        steps += [k] * int(exited.sum())
+        thetas += theta[exited].tolist()
+        sides += side[exited].tolist()
+        v[alive] = v1
+        alive = alive[~exited]
+    return rows, steps, thetas, sides, v
+
+
+def assert_walks_agree(v, z, u, a, drift, sdt, dt):
+    """The block pass against the per-step reference, bit for bit; returns
+    the reference's exits."""
+    rows, step, theta, side, v_end = _first_exits(v, z, u, a, drift, sdt, dt)
+    want_rows, want_steps, want_thetas, want_sides, want_v = reference_walk(v, z, u, a, drift, sdt, dt)
+    order = np.argsort(want_rows)
+    assert rows.tolist() == np.asarray(want_rows, dtype=int)[order].tolist()
+    assert step.tolist() == np.asarray(want_steps, dtype=int)[order].tolist()
+    assert theta.tolist() == np.asarray(want_thetas, dtype=float)[order].tolist()
+    assert side.dtype == np.uint8 and side.tolist() == np.asarray(want_sides, dtype=int)[order].tolist()
+    survivors = np.setdiff1d(np.arange(v.size), rows)
+    assert v_end[survivors].tolist() == want_v[survivors].tolist()
+    return dict(zip(want_rows, zip(want_steps, want_thetas, want_sides)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 5),
+    S=st.integers(1, 30),
+    a=st.floats(0.05, 2.0),
+    dt=st.floats(1e-4, 0.5),
+    drift=st.floats(-0.2, 0.2),
+)
+def test_block_walk_matches_per_step_reference(data, m, S, a, dt, drift):
+    v = a * data.draw(hnp.arrays(float, m, elements=st.floats(-0.999, 0.999)))
+    z = data.draw(hnp.arrays(float, (m, S), elements=st.floats(-6.0, 6.0)))
+    u = data.draw(hnp.arrays(float, (2, m, S), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    assert_walks_agree(v, z, u, a, drift, math.sqrt(dt), dt)
+
+
+def _block(v, z, u):
+    return np.array(v, dtype=float), np.array(z, dtype=float), np.array(u, dtype=float)
+
+
+# each case: (v, z, u), a, dt, and the expected exits {row: (step, theta, side)}
+WALK_CASES = {
+    # 0.95 + 0.1 * 1.0 passes a = 1 halfway through the first step
+    "hard exit on the first step": (_block([0.95], [[1.0, 0.0, 0.0]], [[[0.9] * 3], [[0.9] * 3]]), 1.0, 0.01,
+                                    {0: (0, 0.5, 1)}),
+    "hard exit on the last step": (_block([0.0], [[0.0, 0.0, -12.0]], [[[0.9] * 3], [[0.9] * 3]]), 1.0, 0.01,
+                                   {0: (2, 10.0 / 12.0, 0)}),
+    "survives the block": (_block([0.0], [[0.5, -0.5, 0.5]], [[[0.9] * 3], [[0.9] * 3]]), 1.0, 0.01, {}),
+    # p_up = exp(-2 * 0.05 * 0.05 / 0.01) = 0.61 > 0.5
+    "bridged exit": (_block([0.95], [[0.0, 0.0]], [[[0.5, 0.0]], [[0.9, 0.9]]]), 1.0, 0.01,
+                     {0: (0, 0.5, 1)}),
+    # both bridges fire; p_up = p_dn at 0, p_dn > p_up below 0
+    "tie between the bridges": (_block([0.0, -0.1], [[0.0], [0.0]], [[[0.01], [0.01]], [[0.01], [0.01]]]), 1.0, 1.0,
+                                {0: (0, 0.5, 1), 1: (0, 0.5, 0)}),
+}
+
+
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_block_walk_cases(case):
+    (v, z, u), a, dt, want = WALK_CASES[case]
+    got = assert_walks_agree(v, z, u, a, 0.0, math.sqrt(dt), dt)
+    assert set(got) == set(want)
+    for row, (step, theta, side) in want.items():
+        assert got[row][0] == step and got[row][2] == side
+        assert got[row][1] == pytest.approx(theta, rel=1e-12)
 
 
 # -- renewal-rate consequences -------------------------------------------------

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_models import ALL_CATALOG, CONST
 
 from bitfuse.errors import (
     GammaTooSmall,
@@ -15,6 +18,7 @@ from bitfuse.experiments import (
     ExperimentConfig,
     PowerLawRule,
     SequentialRegime,
+    audit_bounds,
     run_experiment,
 )
 from bitfuse.fusion import (
@@ -253,6 +257,61 @@ def test_sequential_error_decomposition_bound():
         m_stop = float(stats.value_at(stats.M, res.stop_time))
         bound = (delta_total + abs(lam) * c_total + abs(m_stop)) / (gamma - c_total)
         assert abs(res.value - lam) <= bound + 1e-9
+
+
+# every kind, plus the correlated diffusion without random cross-variations
+BOUND_CATALOG = ALL_CATALOG + (
+    (
+        ModelSpec(
+            kind=ModelKind.CORRELATED_DIFFUSION,
+            K=2,
+            sigma=((CONST(1.0), CONST(0.0)), (CONST(0.0), CONST(0.8))),
+        ),
+        0.2,
+    ),
+)
+
+
+@pytest.mark.parametrize("spec,lam", BOUND_CATALOG,
+                         ids=[s.kind.value for s, _ in ALL_CATALOG] + ["correlated_diagonal"])
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    t_end=st.floats(0.5, 5.0),
+    delta_up=st.floats(0.05, 2.0),
+    delta_down=st.floats(0.05, 2.0),
+    c=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.floats(0.01, 1.0),
+)
+def test_pathwise_bounds_and_information_sandwich(spec, lam, n, t_end, delta_up, delta_down, c, seed,
+                                                  frac):
+    # |B - tB| <= Delta and A - tA <= c on every path; 0 <= A - tA and the
+    # sandwich gamma - c <= A_stop <= gamma too, unless some cross-variation
+    # is random, where tA = sum_i (1 + d_i) tA_i may exceed A
+    model = build_model(spec)
+    grid = TimeGrid(t_end, n)
+    stats = path_statistics(simulate_paths(model, lam, grid, seed=seed), model)
+    c_i = c if model.sends_timing else None
+    cfgs = tuple(TriggerConfig(delta_up=delta_up, delta_down=delta_down, c=c_i) for _ in range(model.K))
+    log = run_triggers(stats, model, cfgs)
+    state = reconstruct(log, model)
+    report = audit_bounds(stats, state, log)
+    assert report.b_ok and report.a_upper_ok
+    if not model.cross_deterministic.all():
+        return
+    assert report.a_lower_ok
+    reached = float(state.tA(t_end))
+    if reached == 0.0:
+        return
+    gamma = state.c_total + frac * reached
+    res = estimate_sequential(state, gamma)
+    if model.deterministic_info:
+        a_stop = float(model.det_info(res.stop_time))
+    else:
+        a_stop = float(stats.value_at(stats.A, res.stop_time))
+    tol = 1e-9 * gamma
+    assert gamma - state.c_total - tol <= a_stop <= gamma + tol
 
 
 # -- timing-only estimator ----------------------------------------------------
