@@ -334,6 +334,10 @@ def _estimate(est, point, t_end, stats, state):
         return res, point, res.stop_time
     if est == DECENTRALIZED_SEQUENTIAL:
         res = fusion.estimate_sequential(state, point)
+        # with deterministic information the stop is the exact closed-form
+        # time and info_used = A(stop); interpolating A on the grid is not
+        if state.model.deterministic_info:
+            return res, res.info_used, res.stop_time
         return res, float(stats.value_at(stats.A, res.stop_time)), res.stop_time
     if est == CENTRALIZED_FIXED:
         res = centralized_estimates(stats, t=t_end)[0]

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from scipy import special
+from test_models import ALL_CATALOG
 
 from bitfuse.errors import InvalidSpec, SampleTooSmall
 from bitfuse.experiments import (
@@ -151,6 +152,33 @@ def test_sequential_horizon_extension_warns_and_succeeds():
     assert all(r.ok for r in report.rows)
     assert len(report.warnings) >= 1
     assert all("extended" in w for w in report.warnings)
+
+
+def test_sequential_a_at_stop_is_exact_for_deterministic_information():
+    # the stop is the closed-form time where A reaches gamma; with A
+    # nonlinear in t (Gaussian kind) a linear interpolation of A between
+    # grid points lies above gamma there
+    spec, lam = ALL_CATALOG[1]
+    gamma = 0.6 * float(build_model(spec).det_info(5.0))
+    for steps_per_unit in (40.0, 400.0):
+        cfg = ExperimentConfig(
+            model=spec,
+            lambda_true=lam,
+            regime=SequentialRegime(
+                gamma_list=(gamma,),
+                c_rule=PowerLawRule(0.5, 0.25),
+                delta_rule=PowerLawRule(0.5, 0.25),
+                initial_horizon=5.0,
+            ),
+            n_replications=2,
+            master_seed=1,
+            estimators=(DECENTRALIZED_SEQUENTIAL,),
+            grid_steps_per_unit=steps_per_unit,
+        )
+        (row,) = run_replication(cfg, 0, 0)
+        assert row.ok
+        # no timing messages, so c_total = 0 and the sandwich is gamma itself
+        assert abs(row.a_at_stop - gamma) <= 1e-9 * gamma
 
 
 def test_run_replication_single_rows():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_models import ALL_CATALOG, CONST
 
@@ -284,6 +284,8 @@ BOUND_CATALOG = ALL_CATALOG + (
     seed=st.integers(0, 2**32 - 1),
     frac=st.floats(0.01, 1.0),
 )
+# frac=1: gamma - c_total rounds one ulp above the information reached
+@example(n=1, t_end=2.0, delta_up=1.0, delta_down=1.0, c=1.475763587244453, seed=0, frac=1.0)
 def test_pathwise_bounds_and_information_sandwich(spec, lam, n, t_end, delta_up, delta_down, c, seed,
                                                   frac):
     # |B - tB| <= Delta and A - tA <= c on every path; 0 <= A - tA and the
@@ -305,6 +307,11 @@ def test_pathwise_bounds_and_information_sandwich(spec, lam, n, t_end, delta_up,
     if reached == 0.0:
         return
     gamma = state.c_total + frac * reached
+    if gamma - state.c_total > reached:
+        # the target lies past the horizon: no stop is the correct answer
+        with pytest.raises(HorizonExhausted):
+            estimate_sequential(state, gamma)
+        return
     res = estimate_sequential(state, gamma)
     if model.deterministic_info:
         a_stop = float(model.det_info(res.stop_time))

@@ -1,7 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitfuse.errors import GridMismatch, InvalidSpec, NumericalBlowup
 from bitfuse.experiments import ks_test
@@ -357,3 +360,95 @@ def test_standardized_centralized_error_is_gaussian_for_deterministic_info():
             z[rep] = np.sqrt(est.info_used) * (est.value - 1.0)
         D, p = ks_test(z)
         assert p > 0.01, f"{spec.kind}: KS p={p}"
+
+
+# -- correlated diffusion: the blocked Euler solve --------------------------
+
+
+def _correlated_euler_reference(spec, lam, grid, seed):
+    # one state per step, on the draws simulate takes from the same seed
+    tl = grid.times()[:-1]
+    sig = np.stack([np.stack([f(tl) for f in row], axis=-1) for row in spec.sigma], axis=1)
+    alpha = sig @ sig.transpose(0, 2, 1)
+    noise = np.random.default_rng(seed).standard_normal((grid.n_steps, spec.K))
+    Y = np.zeros((spec.K, grid.n_steps + 1))
+    y = np.zeros(spec.K)
+    for k in range(grid.n_steps):
+        y = y + lam * grid.dt * (alpha[k] @ y) + np.sqrt(grid.dt) * (sig[k] @ noise[k])
+        Y[:, k + 1] = y
+    return Y
+
+
+_unit = st.floats(-1.0, 1.0)
+_sigma_entry = st.one_of(
+    _unit.map(CONST),
+    st.lists(st.floats(0.05, 2.9), min_size=1, max_size=3, unique=True).flatmap(
+        lambda breaks: st.lists(_unit, min_size=len(breaks) + 1, max_size=len(breaks) + 1).map(
+            lambda values: TimeFunction.piecewise_constant(sorted(breaks), values)
+        )
+    ),
+    st.tuples(_unit, st.floats(-0.25, 0.25), st.floats(-0.05, 0.05)).map(TimeFunction.polynomial),
+)
+
+
+@st.composite
+def _correlated_specs(draw):
+    K = draw(st.integers(1, 4))
+    sigma = tuple(tuple(draw(_sigma_entry) for _ in range(K)) for _ in range(K))
+    return ModelSpec(kind=ModelKind.CORRELATED_DIFFUSION, K=K, sigma=sigma)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=_correlated_specs(),
+    lam=st.floats(-1.0, 1.0),
+    # n < 4, perfect squares, and any n = L*(n // L) + r
+    n=st.one_of(st.integers(1, 3), st.integers(2, 54).map(lambda r: r * r), st.integers(1, 3000)),
+    t_end=st.floats(0.05, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(spec=ALL_CATALOG[4][0], lam=0.2, n=2500, t_end=3.0, seed=1)
+@example(spec=ALL_CATALOG[4][0], lam=-0.5, n=2999, t_end=3.0, seed=2)
+def test_correlated_blocked_solve_matches_per_step_euler(spec, lam, n, t_end, seed):
+    # the blocked solve rounds differently, so it may differ from stepping
+    # in the last bits, relative to the path's size so far
+    grid = TimeGrid(t_end, n)
+    Y = build_model(spec).simulate(lam, grid, np.random.default_rng(seed))
+    ref = _correlated_euler_reference(spec, lam, grid, seed)
+    assert Y.shape == (spec.K, n + 1) and Y.flags.c_contiguous
+    assert np.all(Y[:, 0] == 0.0)
+    scale = np.maximum.accumulate(np.abs(ref).max(axis=0))
+    assert np.all(np.abs(Y - ref).max(axis=0) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_correlated_simulate_memory(K):
+    # one K x K stack at a time (the sigma stack is gone before M is
+    # built in place in the alpha stack), e, the path, the grid and the
+    # time-function evaluation temporaries; a second K x K stack, such as
+    # a padded copy of M, does not fit for K >= 3
+    n = 80_000
+    sigma = tuple(tuple(CONST(1.0 if i == j else 0.3) for j in range(K)) for i in range(K))
+    m = build_model(ModelSpec(kind=ModelKind.CORRELATED_DIFFUSION, K=K, sigma=sigma))
+    m.simulate(0.1, TimeGrid(1.0, 16), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        m.simulate(0.1, TimeGrid(10.0, n), np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (K * K + 2 * K + 7) * (n + 1) * 8
+
+
+def test_correlated_blowup_detection():
+    spec = ModelSpec(
+        kind=ModelKind.CORRELATED_DIFFUSION,
+        K=2,
+        sigma=((CONST(1.0), CONST(0.0)), (CONST(0.5), CONST(1.0))),
+    )
+    m = build_model(spec)
+    # past the cap (growth about e^98), then past the float range
+    with pytest.raises(NumericalBlowup):
+        simulate_paths(m, 0.3, TimeGrid(200.0, 40_000), seed=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalBlowup):
+        simulate_paths(m, 0.3, TimeGrid(2000.0, 40_000), seed=1)
