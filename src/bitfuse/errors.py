@@ -58,7 +58,9 @@ class NonPositiveInputs(BitfuseError):
 
 
 class QuadratureFailure(BitfuseError):
-    """Adaptive quadrature failed to meet the requested tolerance."""
+    """A quadrature rule or a density series failed to meet its tolerance:
+    the exit functionals' log-time trapezoid rule disagreed with itself at
+    twice the step after every refinement, or a series did not converge."""
 
 
 class ZeroDrift(BitfuseError):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
-from bitfuse.errors import InvalidSpec, NonPositiveInputs, NonPositiveTime, ZeroDrift
+from bitfuse import first_passage
+from bitfuse.errors import BitfuseError, InvalidSpec, NonPositiveInputs, NonPositiveTime, QuadratureFailure, ZeroDrift
 from bitfuse.first_passage import (
     ExitProblem,
     _first_exits,
@@ -146,6 +147,104 @@ def test_functionals_cross_checked_against_monte_carlo():
     se_m = times.std(ddof=1) / math.sqrt(times.size)
     assert abs(times.mean() - mean) <= 4 * se_m + 2e-3
     assert abs(times.var(ddof=1) - var) <= 0.05 * var
+
+
+def closed_form_functionals(p):
+    """Exact (P(up), E[tau], Var[tau]) of the symmetric two-sided exit of a
+    drifted Brownian motion: P(up) = 1/(1 + e^(-2 lam delta)) and, with
+    z = mu a = lam delta, E[tau] = a^2 tanh(z)/z and
+    Var[tau] = a^4 (tanh(z) - z sech^2(z)) / z^3.  For |z| < 0.01 the
+    moments come from their Taylor series, where the variance's closed
+    form would lose digits to cancellation."""
+    a, z = p.a, p.lam * p.delta
+    prob_up = 0.5 * (1.0 + math.tanh(z))
+    if abs(z) < 0.01:
+        mean = a * a * (1.0 - z * z / 3.0 + 2.0 * z**4 / 15.0)
+        var = a**4 * (2.0 / 3.0 - 8.0 * z * z / 15.0 + 34.0 * z**4 / 105.0)
+    else:
+        tanh = math.tanh(z)
+        mean = a * a * tanh / z
+        var = a**4 * (tanh - z * (1.0 - tanh * tanh)) / z**3
+    return prob_up, mean, var
+
+
+@st.composite
+def exit_problems(draw):
+    """Log-uniform a in [1e-3, 1e3] and |x| in [0.1, 10], with lam delta of
+    either sign up to 50 in size, or 0."""
+    a = 10.0 ** draw(st.floats(-3.0, 3.0))
+    x = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-1.0, 1.0))
+    delta = a * abs(x)
+    tilt = draw(st.one_of(st.just(0.0), st.floats(-50.0, 50.0)))
+    return ExitProblem(delta=delta, x=x, lam=tilt / delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=exit_problems())
+# a narrow band, a wide band, and a wide band with a strong drift, where
+# adaptive quadrature returned zeros without an error
+@example(p=ExitProblem(delta=0.001, x=1.0, lam=1.0))
+@example(p=ExitProblem(delta=1.0, x=0.001, lam=1.0))
+@example(p=ExitProblem(delta=300.0, x=1.0, lam=1.0))
+# E[tau] ~ 2e-9: an absolute error bound of 1e-9 would accept the step-0.05
+# rule, which is off by 2e-5 here
+@example(p=ExitProblem(delta=4.68e-4, x=0.392, lam=-686.0 / 4.68e-4))
+def test_functionals_match_closed_forms(p):
+    prob_up, mean, var = exit_functionals(p)
+    want_up, want_mean, want_var = closed_form_functionals(p)
+    assert abs(prob_up - want_up) <= 1e-10
+    assert abs(mean - want_mean) <= 1e-10 * want_mean
+    assert abs(var - want_var) <= 1e-8 * want_var
+
+
+def test_functionals_make_one_density_call(monkeypatch):
+    calls = []
+
+    def counted(p, t):
+        calls.append(np.size(t))
+        return joint_density(p, t)
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("exit_functionals must not call integrate.quad")
+
+    monkeypatch.setattr(first_passage, "joint_density", counted)
+    monkeypatch.setattr(integrate, "quad", no_quad)
+    for delta in (5.0, 12.5, 20.0):
+        calls.clear()
+        exit_functionals(ExitProblem(delta=delta, x=1.0, lam=1.0))
+        assert len(calls) == 1 and 150 <= calls[0] <= 300
+
+
+def test_functionals_raise_when_the_rule_does_not_converge(monkeypatch):
+    # a density with relative noise of 1e-6 keeps the step-halving
+    # difference far above the bound at every step
+    rng = np.random.default_rng(5)
+
+    def noisy(p, t):
+        up, dn = joint_density(p, t)
+        noise = 1.0 + 1e-6 * rng.standard_normal(np.shape(t))
+        return up * noise, dn * noise
+
+    monkeypatch.setattr(first_passage, "joint_density", noisy)
+    with pytest.raises(QuadratureFailure):
+        exit_functionals(ExitProblem(delta=1.0, x=1.0, lam=1.0))
+
+
+@pytest.mark.parametrize("delta,lam", [(800.0, 1.0), (400.0, 2.0), (800.0, -1.0)])
+def test_density_beyond_the_range_of_exp_is_invalid(delta, lam):
+    p = ExitProblem(delta=delta, x=1.0, lam=lam)
+    with pytest.raises(InvalidSpec, match="lam\\*delta"):
+        joint_density(p, 1.0)
+    with pytest.raises(InvalidSpec):
+        exit_functionals(p)
+
+
+@pytest.mark.parametrize("delta,lam", [(1e-150, 1.0), (1e-170, 1.0), (1e150, 1e-150), (1e170, 0.0)])
+def test_functionals_of_degenerate_bands_raise(delta, lam):
+    # bands whose density or nodes leave the float range end in a
+    # BitfuseError, never in zeros or a Python arithmetic error
+    with np.errstate(all="ignore"), pytest.raises(BitfuseError):
+        exit_functionals(ExitProblem(delta=delta, x=1.0, lam=lam))
 
 
 def test_moment_asymptotics_values_and_guard():
