@@ -33,6 +33,10 @@ independent Monte Carlo oracle (``simulate_exit_times``).  The oracle
 walks all its draws at once, a block of steps at a time, with at most
 2^14 walker-steps per block (one step per walker while more than 2^14
 remain), so its memory does not grow with the time walkers survive.
+Each block draws normals for every walker, but Brownian-bridge uniforms
+and the per-step bridge tests only for the walkers that come within
+sqrt(20 dt) of a barrier; a step farther away crosses with probability
+below e^-40, which no nonzero uniform falls under.
 """
 
 from __future__ import annotations
@@ -91,6 +95,7 @@ _LOG_STEP = 0.05  # exit functionals: trapezoid step in s = log t
 _MAX_HALVINGS = 3  # exit functionals: refinements of _LOG_STEP before failing
 _CDF_GRID_POINTS = 20001
 _WALK_BLOCK = 1 << 14  # Monte Carlo walk: walkers x steps drawn at once
+_BRIDGE_REACH = 20.0  # Monte Carlo walk: bridge-test walkers within sqrt(20 dt) of a barrier
 _EXP_FLOOR = -700.0  # exp is fast above this and still far above its underflow
 _EXP_FLOOR_PROB = float(np.exp(_EXP_FLOOR))
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -373,6 +378,41 @@ def _first_exits(v, z, u, a, drift, sdt, dt):
     return rows, step, theta, up.astype(np.uint8), path[:, -1]
 
 
+def _walk_block(v, z, a, drift, sdt, dt):
+    """Every walker's path over one block of steps, and which walkers come
+    near a barrier.
+
+    ``v`` holds the m walkers' start values and ``z`` (S, m) their
+    standard normal draws, one row per step.  Returns the path (S, m),
+    which adds drift + sdt * z step by step with the same bits as
+    ``_first_exits`` on the draws ``z.T``, and a mask of the near
+    walkers: those whose start value or some step's end comes within
+    w = sqrt(``_BRIDGE_REACH`` * dt) of a barrier, |v| >= a - w.
+
+    A walker that is not near has gaps above w to both barriers before
+    and after each of its steps, so each step's bridge probability
+    exp(-2 g0 g1 / dt) is below e^-40 ~ 4e-18.  That is below 2^-53, the
+    smallest nonzero uniform ``Generator.random`` returns, so only a
+    uniform of exactly 0 could make such a step exit.  A hard exit ends
+    on or beyond a barrier, so its walker is always near, and a band with
+    a <= w makes every walker near.
+    """
+    path = sdt * z
+    path += drift
+    path[0] += v
+    # np.cumsum runs down one walker's column at a time, a chain of
+    # dependent additions; adding whole rows runs across the walkers but
+    # costs a call per step, which pays below about 36 steps
+    if z.shape[0] <= 32:
+        for prev, row in zip(path, path[1:]):
+            row += prev
+    else:
+        np.cumsum(path, axis=0, out=path)
+    reach = a - math.sqrt(_BRIDGE_REACH * dt)
+    near = (np.abs(v) >= reach) | (path.max(axis=0) >= reach) | (path.min(axis=0) <= -reach)
+    return path, near
+
+
 def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed):
     """Monte Carlo oracle: n independent draws of (exit time, exit side).
 
@@ -383,14 +423,23 @@ def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed):
     monitoring; the residual timing error is O(dt).
 
     The m walkers that have not exited advance a block of S steps at a
-    time: one (m, S) draw of normals and one (2, m, S) draw of uniforms,
-    a cumulative sum from each walker's current value, and each walker's
-    first exit from one pass over the block (``_first_exits``).  S is the
+    time.  One (S, m) draw of normals and a cumulative sum from each
+    walker's current value give every walker's path over the block
+    (``_walk_block``).  Only the r walkers whose path comes within
+    w = sqrt(20 dt) of a barrier draw uniforms, one (2, r, S) draw, and
+    get their first exit from one pass over the block (``_first_exits``);
+    the others carry their end value into the next block.  S is the
     largest step count with m*S <= ``_WALK_BLOCK`` = 2^14, and 1 while
     more walkers remain, so a block's temporaries are a few MB beside the
-    n-long outputs, and blocks lengthen as walkers exit.  Exits follow
-    the per-step rules exactly; which draws a seed assigns to which step
-    depends on this block layout.
+    n-long outputs, and blocks lengthen as walkers exit.
+
+    Exits follow the per-step rules exactly for the walkers tested.  A
+    step of a walker left out has a bridge probability below e^-40, under
+    the smallest nonzero uniform 2^-53, so testing it could fire only on
+    a uniform of exactly 0: the law differs from the per-step rules only
+    through such uniforms, each with probability 2^-53 per skipped
+    walker-step.  Which draws a seed assigns to which step depends on
+    this block layout and on which walkers come near a barrier.
     """
     if not (isinstance(n, (int, np.integer)) and n > 0 and dt > 0 and math.isfinite(dt)):
         raise InvalidSpec("need an integer n > 0 and a finite dt > 0")
@@ -407,13 +456,24 @@ def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed):
     while remaining.size:
         m = remaining.size
         S = max(1, _WALK_BLOCK // m)
-        z = rng.standard_normal((m, S))
-        u = rng.random((2, m, S))
-        rows, step, theta, up, v_end = _first_exits(v, z, u, a, drift, sdt, dt)
-        out_t[remaining[rows]] = (steps_before + step) * dt + theta * dt
-        out_z[remaining[rows]] = up
-        keep = np.ones(m, dtype=bool)
-        keep[rows] = False
-        remaining, v = remaining[keep], v_end[keep]
+        z = rng.standard_normal((S, m))
+        path, near = _walk_block(v, z, a, drift, sdt, dt)
+        near = np.flatnonzero(near)
+        if near.size:
+            # _first_exits flattens its (walker, step) arrays, so it needs
+            # them in C order
+            u = rng.random((2, near.size, S))
+            rows, step, theta, up, _ = _first_exits(
+                v[near], np.ascontiguousarray(z.T[near]), u, a, drift, sdt, dt
+            )
+            exited = near[rows]
+            done = remaining[exited]
+            out_t[done] = (steps_before + step) * dt + theta * dt
+            out_z[done] = up
+            keep = np.ones(m, dtype=bool)
+            keep[exited] = False
+            remaining, v = remaining[keep], path[-1, keep]
+        else:
+            v = path[-1]
         steps_before += S
     return out_t, out_z

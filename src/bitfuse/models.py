@@ -319,10 +319,18 @@ class _BrownianConstantModel(Model):
         self.x = np.asarray(spec.x, dtype=float)
 
     def simulate(self, lam, grid, rng):
-        noise = rng.standard_normal((self.K, grid.n_steps)) * np.sqrt(grid.dt)
-        Y = np.zeros((self.K, grid.n_steps + 1))
-        Y[:, 1:] = np.cumsum(noise, axis=1)
-        Y += lam * self.x[:, None] * grid.times()[None, :]
+        # one sensor at a time through one n-long buffer: standard_normal
+        # fills it in C order, so the draws are those of one (K, n) call
+        times = grid.times()
+        sdt = np.sqrt(grid.dt)
+        noise = np.empty(grid.n_steps)
+        Y = np.empty((self.K, times.size))
+        Y[:, 0] = 0.0
+        for row, x in zip(Y, self.x):
+            rng.standard_normal(out=noise)
+            noise *= sdt
+            np.cumsum(noise, out=row[1:])
+            row += (lam * x) * times
         return Y
 
     def x_values(self, Y, times):
@@ -604,7 +612,8 @@ def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed) -> SensorPath
     """
     rng = np.random.default_rng(seed)
     Y = model.simulate(float(lam), grid, rng)
-    if not np.all(np.isfinite(Y)) or np.max(np.abs(Y)) > _BLOWUP_CAP:
+    # reductions, not abs(): no temporary of the path's size; NaN fails the test
+    if not (-_BLOWUP_CAP <= Y.min() and Y.max() <= _BLOWUP_CAP):
         raise NumericalBlowup(
             f"path magnitude exceeded {_BLOWUP_CAP:g}; refine the grid or shorten the horizon"
         )
@@ -634,7 +643,10 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     X = model.x_values(Yl, tl)
 
     B_i = np.zeros((K, times.size))
-    np.cumsum(X * np.diff(Y, axis=1), axis=1, out=B_i[:, 1:])
+    # the increments X * dY are formed and summed in place in B_i
+    dB = np.subtract(Y[:, 1:], Yl, out=B_i[:, 1:])
+    dB *= X
+    np.cumsum(dB, axis=1, out=dB)
     # reductions, not abs(): no K x (n+1) temporary; NaN fails the test
     if not (-_BLOWUP_CAP <= B_i.min() and B_i.max() <= _BLOWUP_CAP):
         raise NumericalBlowup(f"integral B_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")

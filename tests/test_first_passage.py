@@ -14,6 +14,7 @@ from bitfuse.first_passage import (
     _first_exits,
     _g_eigen,
     _g_image,
+    _walk_block,
     delta_moment_asymptotics,
     exit_functionals,
     exit_time_cdf,
@@ -394,6 +395,30 @@ def test_block_walk_cases(case):
     for row, (step, theta, side) in want.items():
         assert got[row][0] == step and got[row][2] == side
         assert got[row][1] == pytest.approx(theta, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 5),
+    S=st.integers(1, 60),
+    a=st.floats(0.05, 2.0),
+    dt=st.floats(1e-4, 0.5),
+    drift=st.floats(-0.2, 0.2),
+)
+def test_walkers_left_out_of_the_bridge_tests_cannot_exit(data, m, S, a, dt, drift):
+    # uniforms as Generator.random draws them, but never exactly 0: then
+    # a walker that _walk_block does not mark near exits in no block pass.
+    # Blocks of up to 60 steps take both of _walk_block's summation orders.
+    v = a * data.draw(hnp.arrays(float, m, elements=st.floats(-0.999, 0.999)))
+    z = data.draw(hnp.arrays(float, (m, S), elements=st.floats(-6.0, 6.0)))
+    u = data.draw(hnp.arrays(float, (2, m, S), elements=st.floats(2.0**-53, 1.0, exclude_max=True)))
+    sdt = math.sqrt(dt)
+    path, near = _walk_block(v, np.ascontiguousarray(z.T), a, drift, sdt, dt)
+    rows, _step, _theta, _side, v_end = _first_exits(v, z, u, a, drift, sdt, dt)
+    assert near[rows].all()
+    # the walk carries path[-1] forward for every walker that stays in
+    assert path[-1].tolist() == v_end.tolist()
 
 
 # -- renewal-rate consequences -------------------------------------------------

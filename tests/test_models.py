@@ -148,6 +148,29 @@ def test_blowup_detection():
         simulate_paths(m, 100.0, TimeGrid(50.0, 50), seed=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_path_is_blowup(monkeypatch, bad):
+    m = brownian(K=2, x=(1.0, 2.0))
+    grid = TimeGrid(1.0, 10)
+    Y = np.zeros((2, 11))
+    Y[1, 5] = bad
+    monkeypatch.setattr(m, "simulate", lambda lam, grid, rng: Y)
+    with pytest.raises(NumericalBlowup):
+        simulate_paths(m, 0.5, grid, seed=1)
+
+
+def test_brownian_rows_match_one_whole_array_draw():
+    # the per-sensor draws against the (K, n) draw they replaced, bit for bit
+    m = brownian(K=3, x=(1.0, -2.0, 0.5))
+    grid = TimeGrid(2.0, 1000)
+    Y = simulate_paths(m, 0.7, grid, seed=9).Y
+    noise = np.random.default_rng(9).standard_normal((3, 1000)) * np.sqrt(grid.dt)
+    want = np.zeros((3, 1001))
+    want[:, 1:] = np.cumsum(noise, axis=1)
+    want += 0.7 * m.x[:, None] * grid.times()[None, :]
+    np.testing.assert_array_equal(Y, want)
+
+
 def test_statistics_blowup_detection():
     # each path stays far under the cap while its integral B_i (up, then
     # down) or its information A_i does not

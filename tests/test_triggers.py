@@ -188,7 +188,7 @@ def test_legs_spanning_several_windows_match_reference_scan(monkeypatch):
 
 def test_non_finite_statistic_rejected():
     grid = TimeGrid(1.0, 2)
-    for bad in (np.inf, np.nan):
+    for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(InvalidSpec):
             run_b_trigger(np.array([0.0, bad, 0.0]), grid, symmetric(1.0))
 
