@@ -35,7 +35,6 @@ from .fusion import (
     EstimateResult,
     FusionState,
     centralized_estimates,
-    centralized_loglik,
     estimate_fixed,
     estimate_sequential,
     estimate_timing_only,

@@ -275,13 +275,12 @@ def _run_triggers_capped(stats: PathStats, model: Model, cfgs, max_level=None) -
     return MessageLog(b=tuple(b_logs), a=tuple(a_logs), cfgs=cfgs, horizon=stats.grid.t_end)
 
 
-def _row(point, rep, est, result, lam, std_scale, a_at_stop, log, horizon, t_eval):
-    b_n = sum(int(np.searchsorted(bm.time, t_eval, side="right")) for bm in log.b) if log else 0
-    a_n = sum(int(np.searchsorted(am.time, t_eval, side="right")) for am in log.a) if log else 0
+def _row(point, rep, est, result, lam, std_scale, a_at_stop, state, horizon, t_eval):
+    b_n, a_n = state.message_counts(t_eval) if state else (0, 0)
     eta = (
         sum(float(bm.overshoot[: np.searchsorted(bm.time, t_eval, side="right")].sum())
-            for bm in log.b)
-        if log
+            for bm in state.log.b)
+        if state
         else 0.0
     )
     err = result.value - lam
@@ -402,7 +401,7 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
             rows.append(_failed_row(point, rep, est, t_end, out))
         else:
             res, a_at_stop, t_eval = out
-            rows.append(_row(point, rep, est, res, cfg.lambda_true, std_scale, a_at_stop, log,
+            rows.append(_row(point, rep, est, res, cfg.lambda_true, std_scale, a_at_stop, state,
                              t_end, t_eval))
     return rows, warnings
 

@@ -55,7 +55,6 @@ __all__ = [
     "estimate_sequential",
     "estimate_timing_only",
     "centralized_estimates",
-    "centralized_loglik",
 ]
 
 CENTRALIZED_FIXED = "centralized_fixed"
@@ -179,12 +178,12 @@ class FusionState:
             total = total + self.checkA_i(i, t)
         return total
 
-    def messages_up_to(self, t: float) -> int:
-        n = 0
-        for i in range(self.model.K):
-            n += int(np.searchsorted(self._b_times[i], t, side="right"))
-            n += int(np.searchsorted(self._a_times[i], t, side="right"))
-        return n
+    def message_counts(self, t: float):
+        """The bit and timing messages stamped at or before t, each
+        summed over the sensors."""
+        b = sum(int(np.searchsorted(times, t, side="right")) for times in self._b_times)
+        a = sum(int(np.searchsorted(times, t, side="right")) for times in self._a_times)
+        return b, a
 
 
 def reconstruct(log: MessageLog, model: Model) -> FusionState:
@@ -213,7 +212,7 @@ def estimate_fixed(state: FusionState, t: float) -> EstimateResult:
         value=value,
         stop_time=None,
         info_used=a_t,
-        messages_used=state.messages_up_to(t),
+        messages_used=sum(state.message_counts(t)),
     )
 
 
@@ -264,7 +263,7 @@ def estimate_sequential(state: FusionState, gamma: float) -> EstimateResult:
         value=value,
         stop_time=stop,
         info_used=info,
-        messages_used=state.messages_up_to(stop),
+        messages_used=sum(state.message_counts(stop)),
     )
 
 
@@ -283,7 +282,7 @@ def estimate_timing_only(state: FusionState, t: float) -> EstimateResult:
         value=value,
         stop_time=None,
         info_used=info,
-        messages_used=state.messages_up_to(t),
+        messages_used=sum(state.message_counts(t)),
     )
 
 
@@ -338,11 +337,3 @@ def centralized_estimates(stats: PathStats, t: float | None = None,
             )
         )
     return out
-
-
-def centralized_loglik(lam: float, B_t: float, A_t: float):
-    """Log-likelihood lam*B - lam^2*A/2 and its derivative B - lam*A.
-
-    The derivative vanishes at the ratio estimate lam = B/A.
-    """
-    return lam * B_t - 0.5 * lam * lam * A_t, B_t - lam * A_t

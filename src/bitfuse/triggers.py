@@ -14,13 +14,12 @@ reconstruction gap stays below max(delta_up, delta_down) at every grid
 point by construction.  Continuous mode finds its messages a leg at a
 time: a leg is a run of same-direction crossings, located with a running
 maximum (or minimum) of the path and one search for all of the leg's
-boundaries, so the cost is O(n) array passes plus one Python step per
-change of direction.  Exits that change direction often are found one at
-a time by a windowed scan; leg mode starts after a streak of
-same-direction exits.  In discrete mode the statistic is inspected only
-every h time units, the message is stamped at the sampling instant, the
-reference jumps to the sampled value, and the unobserved overshoot is
-recorded for diagnostics.
+boundaries.  Each leg starts at the exit that ends the leg before, so
+the cost is O(n) array passes plus one leg per change of direction, and
+a path that reverses at nearly every message pays a leg per message.  In
+discrete mode the statistic is inspected only every h time units, the
+message is stamped at the sampling instant, the reference jumps to the
+sampled value, and the unobserved overshoot is recorded for diagnostics.
 """
 
 from __future__ import annotations
@@ -108,12 +107,6 @@ class AMessages:
         return self.time.size
 
 
-def _empty_b() -> BMessages:
-    return BMessages(
-        time=np.empty(0), bit=np.empty(0, dtype=np.uint8), overshoot=np.empty(0), pending=0.0
-    )
-
-
 def _empty_a() -> AMessages:
     return AMessages(time=np.empty(0))
 
@@ -146,13 +139,6 @@ class MessageLog:
 
 _WINDOW = 256  # first scan window, in grid steps
 _MAX_WINDOW = 1 << 20
-# Leg mode starts after this many same-direction exits in a row; the
-# threshold falls by one after a leg that found at least _LEG_PAYS
-# messages and rises by one after a leg that did not (as timsort
-# adapts min_gallop).  A leg costs about as much as two isolated exits.
-_GALLOP_START = 4
-_GALLOP_MIN, _GALLOP_MAX = 2, 64
-_LEG_PAYS = 2
 
 
 def _first_exit_index(B: np.ndarray, start: int, hi: float, lo: float, window: int):
@@ -182,15 +168,17 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMe
     that jumps through several band widths emits several messages with
     increasing interpolated times.
 
-    The messages come a leg at a time.  A leg is a run of same-direction
-    crossings; its boundaries are the running sum ref + delta,
+    The messages come a leg at a time, one leg per run of same-direction
+    exits.  A leg's boundaries are the running sum ref + delta,
     ref + 2 delta, ... and each one is crossed at the first step where
     the running extreme of the path reaches it, until the path leaves
-    the band through the other side.  A leg costs a few array passes over
-    the steps it covers.  Exits that change direction often are found
-    one at a time, each by a windowed scan, and leg mode starts after a
-    streak of same-direction exits.  So the cost is O(n) array work plus
-    one Python step per change of direction, instead of one per message.
+    the band through the other side; that turn is the first crossing of
+    the next leg.  A leg costs a few array passes over the steps it
+    covers, so the cost is O(n) array work plus one Python step per
+    change of direction, instead of one per message.  A path that
+    reverses at nearly every message (no drift, a tight band) pays a
+    whole leg for each of them, up to about twice the cost of finding
+    each exit by a windowed scan.
 
     Discrete mode: the statistic is inspected only at multiples of h
     (h must be an integer multiple of the grid step); the message time is
@@ -217,52 +205,26 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMe
 
 def _continuous_b_trigger(B, grid, cfg):
     dup, ddn = cfg.delta_up, cfg.delta_down
-    # the crossing step and boundary level of every message, in order:
-    # finished legs as arrays in ``parts``, isolated exits since the
-    # last leg in ``idx`` and ``lev``
-    parts, idx, lev = [], [], []
     ref = B.item(0)  # a Python float adds and compares as np.float64 does
-    start = 1  # first index not yet scanned
-    up, streak, run_from = None, 0, start
-    gallop = _GALLOP_START
-    while True:
-        if streak < gallop:
-            j = _first_exit_index(B, start, ref + dup, ref - ddn, _WINDOW)
-        else:
-            parts.append((np.asarray(idx, dtype=np.intp), np.asarray(lev, dtype=float)))
-            idx, lev = [], []
-            window = max(_WINDOW, 2 * (start - run_from))
-            leg_idx, leg_lev, j = _leg(B, start, ref, up, dup, ddn, window)
-            parts.append((leg_idx, leg_lev))
-            if leg_lev.size:
-                ref = leg_lev.item(-1)
-            if leg_lev.size >= _LEG_PAYS:
-                # stay in leg mode: the next leg starts at the turn
-                gallop = max(_GALLOP_MIN, gallop - 1)
-                up, run_from, start = not up, start, j
-                if j is None:
-                    break
-                continue
-            gallop = min(_GALLOP_MAX, gallop + 1)
-        if j is None:
-            break
-        # an isolated exit at step j, possibly through several bands
-        b1 = B.item(j)
-        went_up = b1 >= ref + dup
-        if went_up != up:
-            up, streak, run_from = went_up, 0, j
-        streak += 1
-        step = dup if up else -ddn
-        bound = ref + step
-        while (b1 >= bound) if up else (b1 <= bound):
-            idx.append(j)
-            lev.append(bound)
-            ref = bound
-            bound = ref + step
-        start = j + 1
-    parts.append((np.asarray(idx, dtype=np.intp), np.asarray(lev, dtype=float)))
-    j = np.concatenate([p[0] for p in parts])
-    level = np.concatenate([p[1] for p in parts])
+    j = _first_exit_index(B, 1, ref + dup, ref - ddn, _WINDOW)
+    up = j is not None and B.item(j) >= ref + dup
+    # the crossing steps and boundary levels of each leg, in order
+    idx, lev = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    window = _WINDOW
+    while j is not None:
+        # a leg starts at its first crossing, step j, and its turn starts
+        # the next leg in the other direction
+        leg_idx, leg_lev, turn = _leg(B, j, ref, up, dup, ddn, window)
+        idx.append(leg_idx)
+        lev.append(leg_lev)
+        ref = leg_lev.item(-1)
+        if turn is not None:
+            # the next leg's first window guesses its length from this
+            # one's; it sets only the chunking, never the messages
+            window = max(_WINDOW, 2 * (turn - j))
+        up, j = not up, turn
+    j = np.concatenate(idx)
+    level = np.concatenate(lev)
     b0 = B[j - 1]
     theta = (level - b0) / (B[j] - b0)
     return BMessages(
@@ -339,9 +301,8 @@ def _discrete_b_trigger(samples, sample_times, cfg):
     out_t, out_z, out_eta = [], [], []
     ref = samples[0]
     k = 0
-    window = 256
     while True:
-        j = _first_exit_index(samples, k + 1, ref + dup, ref - ddn, window)
+        j = _first_exit_index(samples, k + 1, ref + dup, ref - ddn, _WINDOW)
         if j is None:
             break
         inc = samples[j] - ref

@@ -28,7 +28,6 @@ from bitfuse.fusion import (
     TIMING_ONLY,
     FusionState,
     centralized_estimates,
-    centralized_loglik,
     estimate_fixed,
     estimate_sequential,
     estimate_timing_only,
@@ -391,13 +390,3 @@ def test_centralized_sequential_variance_and_lower_bound():
     z = math.sqrt(gamma) * (vals - lam)
     assert abs(z.var(ddof=1) - 1.0) <= 0.05
     assert vals.var(ddof=1) >= (1.0 - 3.0 / math.sqrt(n)) / gamma
-
-
-def test_loglik_and_score():
-    ll, score = centralized_loglik(0.0, 2.0, 4.0)
-    assert ll == 0.0 and score == 2.0
-    _, score_at_ratio = centralized_loglik(0.5, 2.0, 4.0)
-    assert score_at_ratio == 0.0
-    ll2, score2 = centralized_loglik(1.0, 2.0, 4.0)
-    assert ll2 == pytest.approx(0.0)
-    assert score2 == pytest.approx(-2.0)

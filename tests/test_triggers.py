@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -118,13 +118,16 @@ def assert_band_invariants(B, grid, cfg, msgs):
     """Times strictly increasing, the bits rebuild the reference levels,
     and B stays strictly inside the band around them at every grid
     point (exact on an integer grid, where a boundary hit at a grid point
-    is stamped at that point)."""
+    is stamped at that point).  The band edges are computed as the
+    trigger computes them, level - delta_down and level + delta_up: on a
+    non-dyadic lattice B - level can round onto -delta_down although
+    B > level - delta_down."""
     assert np.all(np.diff(msgs.time) > 0)
     jumps = np.where(msgs.bit == 1, cfg.delta_up, -cfg.delta_down)
     levels = np.cumsum(np.concatenate(([B[0]], jumps)))
     assert B[-1] - levels[-1] == msgs.pending
-    gap = B - levels[np.searchsorted(msgs.time, grid.times(), side="right")]
-    assert np.all(gap < cfg.delta_up) and np.all(gap > -cfg.delta_down)
+    level = levels[np.searchsorted(msgs.time, grid.times(), side="right")]
+    assert np.all(B < level + cfg.delta_up) and np.all(B > level - cfg.delta_down)
 
 
 @st.composite
@@ -144,6 +147,10 @@ def lattice_paths(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(lattice_paths())
+# an up message sets ref = 0.1; -0.2 > 0.1 - 0.30000000000000004 after
+# rounding, but -0.2 - 0.1 == -0.30000000000000004
+@example((0.1 * np.array([0.0, 1.0, -2.0]), TimeGrid(2.0, 2),
+          TriggerConfig(delta_up=0.1, delta_down=0.1 * 3)))
 def test_continuous_trigger_matches_reference_scan(case):
     B, grid, cfg = case
     msgs = run_b_trigger(B, grid, cfg)
@@ -184,6 +191,30 @@ def test_legs_spanning_several_windows_match_reference_scan(monkeypatch):
         assert_same_messages(msgs, want)
         assert_band_invariants(Bt, grid, cfg, msgs)
         assert turn in steps and msgs.bit[np.searchsorted(steps, turn)] == 0
+
+
+def test_driftless_walk_with_many_reversals_matches_reference_scan(monkeypatch):
+    # with no drift about 45% of the messages reverse direction, so most
+    # legs hold one or two crossings; a few long runs outgrow the window
+    # set from the leg before
+    n = 200_000
+    grid = TimeGrid(float(n), n)
+    cfg = TriggerConfig(delta_up=7.0, delta_down=5.0)
+    B = np.concatenate(([0.0], np.cumsum(np.random.default_rng(15).standard_normal(n))))
+    legs = []
+    leg = triggers._leg
+
+    def spy(B, start, ref, up, dup, ddn, window):
+        out = leg(B, start, ref, up, dup, ddn, window)
+        legs.append((start, window, out[2]))
+        return out
+
+    monkeypatch.setattr(triggers, "_leg", spy)
+    msgs = run_b_trigger(B, grid, cfg)
+    assert_same_messages(msgs, reference_scan(B, grid, cfg)[0])
+    assert_band_invariants(B, grid, cfg, msgs)
+    assert np.count_nonzero(np.diff(msgs.bit)) >= 2000
+    assert sum(turn is None or turn > start + window for start, window, turn in legs) >= 10
 
 
 def test_non_finite_statistic_rejected():
