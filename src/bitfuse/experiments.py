@@ -527,11 +527,9 @@ def audit_bounds(stats: PathStats, state: FusionState, log: MessageLog) -> Bound
     mode = log.cfgs[0].mode
     if any(c.mode != mode or c.h != log.cfgs[0].h for c in log.cfgs):
         raise InvalidSpec("bound audit requires a common mode and sampling period")
-    if mode == CONTINUOUS:
-        times = stats.grid.times()
-    else:
-        stride = int(round(log.cfgs[0].h / stats.grid.dt))
-        times = stats.grid.times()[::stride]
+    stride = 1 if mode == CONTINUOUS else int(round(log.cfgs[0].h / stats.grid.dt))
+    grid_times = stats.grid.times()
+    times = grid_times[::stride]
 
     b_gap = np.empty(K)
     b_bound = np.empty(K)
@@ -543,33 +541,21 @@ def audit_bounds(stats: PathStats, state: FusionState, log: MessageLog) -> Bound
     for i in range(K):
         tB_i = state.tB_i(i, times)
         tB_total += tB_i
-        if mode == CONTINUOUS:
-            B_vals = stats.B_i[i]
-            gap = np.abs(B_vals - tB_i)
-            bound = log.cfgs[i].delta_max
-        else:
-            stride = int(round(log.cfgs[i].h / stats.grid.dt))
-            B_vals = stats.B_i[i][::stride]
-            cum_eta = np.concatenate(([0.0], np.cumsum(log.b[i].overshoot)))
-            idx = np.searchsorted(log.b[i].time, times, side="right")
-            gap = np.abs(B_vals - tB_i) - cum_eta[idx]
-            bound = log.cfgs[i].delta_max
+        # continuous overshoots are zeros, so the gap is |B_i - tB_i| there
+        cum_eta = np.concatenate(([0.0], np.cumsum(log.b[i].overshoot)))
+        idx = np.searchsorted(log.b[i].time, times, side="right")
+        gap = np.abs(stats.B_i[i][::stride] - tB_i) - cum_eta[idx]
         b_gap[i] = float(gap.max())
-        b_bound[i] = bound
-        b_ok = b_ok and b_gap[i] <= bound + _FLOAT_TOL * (1 + bound)
+        b_bound[i] = log.cfgs[i].delta_max
+        b_ok = b_ok and b_gap[i] <= b_bound[i] + _FLOAT_TOL * (1 + b_bound[i])
 
-        a_diff = stats.A_i[i] - state.tA_i(i, stats.grid.times())
+        a_diff = stats.A_i[i] - state.tA_i(i, grid_times)
         a_max[i] = float(a_diff.max())
         a_min[i] = float(a_diff.min())
         c_arr[i] = log.cfgs[i].c if log.cfgs[i].c is not None else 0.0
 
-    if mode == CONTINUOUS:
-        B_total = stats.B
-    else:
-        stride = int(round(log.cfgs[0].h / stats.grid.dt))
-        B_total = stats.B[::stride]
-    b_gap_total = float(np.abs(B_total - tB_total).max())
-    a_diff_total = stats.A - state.tA(stats.grid.times())
+    b_gap_total = float(np.abs(stats.B[::stride] - tB_total).max())
+    a_diff_total = stats.A - state.tA(grid_times)
     delta_total = state.delta_total
     c_total = state.c_total
     if mode == CONTINUOUS:

@@ -6,11 +6,12 @@ weight process X_i; the running statistics of interest are
 
 * ``B_i``  -- the stochastic integral of X_i against the sensor's path,
 * ``A_i``  -- its quadratic variation (the information carried by sensor i),
-* ``A_cross`` -- the cross-variations between sensors that can be
-  nonzero, one row per pair in ``Model.cross_pairs``,
-* ``B``, ``A`` -- their totals, and ``M = B - lam * A``, a martingale.
+* ``B``, ``A`` -- the totals; A also counts the cross-variations between
+  sensors, the pairs in ``Model.cross_pairs``.
 
-The model kind decides which information is random (see ``ModelSpec``);
+The estimators are ratios of B and A.  The model kind decides which
+information is random (see ``ModelSpec``).  Deterministic A is the
+closed form ``Model.det_info``, the number the fusion center divides by;
 with random information the fusion center uses tA = sum_i (1 + d_i) tA_i.
 
 Paths are simulated with Euler-Maruyama on a uniform grid.  Where the
@@ -24,11 +25,10 @@ rounding moves in the last bits.  Only the square-root diffusion, whose
 full truncation is nonlinear, steps in a Python loop.
 
 Quadratic (co)variations are accumulated from the model's diffusion coefficients,
-not from realized squared increments, and every component that is
-deterministic is evaluated in closed form so downstream bound audits are
-exact at the grid points.  Cross-variations that are identically zero
-are never stored, so statistics memory is O(K*n) plus one row per
-contributing cross pair.
+not from realized squared increments, and deterministic information is
+evaluated in closed form so downstream bound audits are exact at the
+grid points.  Cross-variations are added into A as they are formed and
+never stored, so statistics memory is 2K + 2 rows of the grid.
 
 The exponential-integrability condition that makes the drifted law a
 proper change of measure is assumed for every catalog model and is not
@@ -204,22 +204,19 @@ class SensorPaths:
 class PathStats:
     """Pathwise sufficient statistics on the simulation grid.
 
-    Arrays are indexed like the grid times.  ``A_cross`` has one row per
-    pair of the model's ``cross_pairs``; every other off-diagonal
-    cross-variation is identically zero and is not stored.
+    Arrays are indexed like the grid times: the per-sensor rows ``B_i``
+    and ``A_i`` (shape (K, n + 1)) and the totals ``B`` and ``A``, whose
+    A includes the cross-variations of the model's ``cross_pairs``.
     """
 
     grid: TimeGrid
-    lambda_true: float
     B_i: np.ndarray
     A_i: np.ndarray
-    A_cross: np.ndarray
     B: np.ndarray
     A: np.ndarray
-    M: np.ndarray
 
     def __post_init__(self):
-        for a in (self.B_i, self.A_i, self.A_cross, self.B, self.A, self.M):
+        for a in (self.B_i, self.A_i, self.B, self.A):
             a.flags.writeable = False
 
     def value_at(self, arr: np.ndarray, t):
@@ -236,9 +233,10 @@ class Model:
 
     Subclasses implement ``_setup`` (field validation), the simulation
     step, the weight-process values along a path, the instantaneous
-    quadratic-variation density, and closed-form deterministic parts.
-    A cross-variation that is not identically zero is random exactly when
-    the kind's information is (``deterministic_info`` False).
+    quadratic-variation density, and the closed-form information when it
+    is deterministic.  A cross-variation that is not identically zero
+    (a pair in ``cross_pairs``) is random exactly when the kind's
+    information is; ``d_counts[i]`` counts sensor i's random ones.
     """
 
     kind: ModelKind
@@ -255,10 +253,10 @@ class Model:
             for j in range(self.K)
             if i != j and not self._cross_is_zero(i, j)
         )
-        self.cross_deterministic = np.ones((self.K, self.K), dtype=bool)
-        for i, j in self.cross_pairs:
-            self.cross_deterministic[i, j] = self.deterministic_info
-        self.d_counts = (~self.cross_deterministic).sum(axis=1).astype(int)
+        self.d_counts = np.zeros(self.K, dtype=int)
+        if not self.deterministic_info:
+            for i, _ in self.cross_pairs:
+                self.d_counts[i] += 1
 
     @property
     def sends_timing(self) -> bool:
@@ -291,12 +289,6 @@ class Model:
         Called only for pairs whose (cross-)variation is random.
         """
         raise NotImplementedError
-
-    def det_cross(self, i: int, j: int, t):
-        """Closed-form A_ij(t) of a deterministic off-diagonal pair."""
-        if not self.cross_deterministic[i, j]:
-            raise InvalidSpec(f"cross-variation ({i},{j}) is random, no closed form")
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def det_info_i(self, i: int, t):
         """Closed-form A_i(t); only valid when deterministic_info."""
@@ -409,9 +401,6 @@ class _GaussianDetInfoModel(Model):
 
     def qv_density(self, i, j, Y, times):
         return self.rho[i][j](times)
-
-    def det_cross(self, i, j, t):
-        return self._cross_integrand[i][j].integral(t)
 
     def det_info_i(self, i, t):
         return self._cross_integrand[i][i].integral(t)
@@ -621,16 +610,17 @@ def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed) -> SensorPath
 
 
 def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
-    """Compute B_i, A_i, A_cross and their totals along a simulated path.
+    """Compute B_i, A_i and their totals B and A along a simulated path.
 
     Stochastic integrals are left-endpoint Riemann sums.  Deterministic
-    information components come from closed forms; random ones accumulate
-    the model's diffusion coefficients, so the per-step cross-variation
-    bound |A_ij| <= (A_i + A_j)/2 holds exactly.  Only the pairs in
-    ``model.cross_pairs`` are stored, so memory is O(K*n) plus one row
-    per contributing cross pair.  An integral B_i or an information A_i
-    beyond ``_BLOWUP_CAP`` raises ``NumericalBlowup``: the triggers could
-    not send the messages such a statistic asks for.
+    information comes from closed forms, A from ``model.det_info``.
+    Random information accumulates the model's diffusion coefficients, so
+    the per-step cross-variation bound |A_ij| <= (A_i + A_j)/2 holds
+    exactly; A is the sum of the A_i plus each pair of
+    ``model.cross_pairs``, added as it is formed.  Memory is 2K + 2 rows
+    of the grid.  An integral B_i or an information A_i beyond
+    ``_BLOWUP_CAP`` raises ``NumericalBlowup``: the triggers could not
+    send the messages such a statistic asks for.
     """
     grid = paths.grid
     times = grid.times()
@@ -662,17 +652,14 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     # information is nondecreasing: its end values bound it
     if not np.all(A_i[:, -1] <= _BLOWUP_CAP):
         raise NumericalBlowup(f"information A_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
-    A_cross = np.empty((len(model.cross_pairs), times.size))
-    for row, (i, j) in zip(A_cross, model.cross_pairs):
-        row[:] = model.det_cross(i, j, times) if model.deterministic_info else random_part(i, j)
 
     B = B_i.sum(axis=0)
-    A = A_i.sum(axis=0)
-    # same summation order as over all off-diagonal pairs; the skipped
-    # pairs add exact zeros
-    for row in A_cross:
-        A = A + row
-    M = B - paths.lambda_true * A
-    return PathStats(
-        grid=grid, lambda_true=paths.lambda_true, B_i=B_i, A_i=A_i, A_cross=A_cross, B=B, A=A, M=M
-    )
+    if model.deterministic_info:
+        A = model.det_info(times)
+    else:
+        A = A_i.sum(axis=0)
+        # same summation order as over all off-diagonal pairs; the skipped
+        # pairs add exact zeros
+        for i, j in model.cross_pairs:
+            A = A + random_part(i, j)
+    return PathStats(grid=grid, B_i=B_i, A_i=A_i, B=B, A=A)

@@ -117,10 +117,11 @@ def paths_csv_text(paths: SensorPaths, stats: PathStats) -> str:
     header = ["t"] + [f"Y_{i + 1}" for i in range(K)] + ["B", "A", "M"]
     lines = [",".join(header)]
     times = paths.grid.times()
+    M = stats.B - paths.lambda_true * stats.A  # the score, a martingale
     for k in range(times.size):
         vals = [fmt(times[k])]
         vals += [fmt(paths.Y[i, k]) for i in range(K)]
-        vals += [fmt(stats.B[k]), fmt(stats.A[k]), fmt(stats.M[k])]
+        vals += [fmt(stats.B[k]), fmt(stats.A[k]), fmt(M[k])]
         lines.append(",".join(vals))
     return "\n".join(lines) + "\n"
 

@@ -235,7 +235,8 @@ def test_sequential_standardized_variance_approaches_one_in_gamma():
 
 
 def test_sequential_error_decomposition_bound():
-    # pathwise: |estimate - lam| <= (Delta + |lam| c)/(gamma - c) + |M_stop|/(gamma - c)
+    # pathwise, with the score M = B - lam A:
+    # |estimate - lam| <= (Delta + |lam| c)/(gamma - c) + |M_stop|/(gamma - c)
     gamma, lam = 300.0, 0.5
     c_i = delta_i = 0.5 * gamma**0.25
     c_total = delta_total = 2 * c_i
@@ -253,7 +254,7 @@ def test_sequential_error_decomposition_bound():
             res = estimate_sequential(state, gamma)
         except HorizonExhausted:
             continue
-        m_stop = float(stats.value_at(stats.M, res.stop_time))
+        m_stop = float(stats.value_at(stats.B - lam * stats.A, res.stop_time))
         bound = (delta_total + abs(lam) * c_total + abs(m_stop)) / (gamma - c_total)
         assert abs(res.value - lam) <= bound + 1e-9
 
@@ -299,7 +300,10 @@ def test_pathwise_bounds_and_information_sandwich(spec, lam, n, t_end, delta_up,
     state = reconstruct(log, model)
     report = audit_bounds(stats, state, log)
     assert report.b_ok and report.a_upper_ok
-    if not model.cross_deterministic.all():
+    if model.deterministic_info:
+        # A is the closed form the fusion center uses
+        assert report.a_gap_max_total == report.a_gap_min_total == 0.0
+    if model.d_counts.any():
         return
     assert report.a_lower_ok
     reached = float(state.tA(t_end))

@@ -138,7 +138,7 @@ def test_determinism_bitwise():
         assert np.array_equal(p1.Y, p2.Y)
         s1 = path_statistics(p1, m)
         s2 = path_statistics(p2, m)
-        for name in ("B_i", "A_i", "A_cross", "B", "A", "M"):
+        for name in ("B_i", "A_i", "B", "A"):
             assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
 
@@ -209,7 +209,8 @@ def test_zero_path_gives_zero_integral_and_score_identity():
     p = SensorPaths(grid=grid, Y=Y, lambda_true=0.7, seed=0)
     s = path_statistics(p, m)
     assert np.all(s.B == 0.0)
-    np.testing.assert_allclose(s.M, -0.7 * s.A, rtol=0, atol=0)
+    # B = 0, so the score B - lam A is -lam A, with A the closed form
+    np.testing.assert_array_equal(s.A, m.det_info(grid.times()))
 
 
 def test_grid_mismatch_raises():
@@ -245,40 +246,70 @@ ALL_CATALOG = (
 )
 
 
+def _random_row(m, paths, i, j):
+    """The (i, j) information row of a random-information model: the
+    left-endpoint sum of X_i X_j d<Y_i, Y_j>/dt over the grid."""
+    Yl, tl = paths.Y[:, :-1], paths.grid.times()[:-1]
+    X = m.x_values(Yl, tl)
+    row = np.zeros(paths.grid.n_steps + 1)
+    np.cumsum(X[i] * X[j] * m.qv_density(i, j, Yl, tl) * paths.grid.dt, out=row[1:])
+    return row
+
+
+def _random_info_reference(m, paths, A_i):
+    """The total information, summed in the order path_statistics documents:
+    the A_i rows, then one row per cross pair."""
+    A = A_i.sum(axis=0)
+    for i, j in m.cross_pairs:
+        A = A + _random_row(m, paths, i, j)
+    return A
+
+
 @pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])
 def test_pointwise_identities_all_models(spec, lam):
     m = build_model(spec)
     grid = TimeGrid(4.0, 1000)
-    s = path_statistics(simulate_paths(m, lam, grid, seed=77), m)
+    times = grid.times()
+    paths = simulate_paths(m, lam, grid, seed=77)
+    s = path_statistics(paths, m)
+    assert [f.name for f in dataclasses.fields(s)] == ["grid", "B_i", "A_i", "B", "A"]
     scale = 1.0 + np.abs(s.A) + np.abs(s.B)
     # totals decompose into per-sensor pieces
     np.testing.assert_allclose(s.B, s.B_i.sum(axis=0), rtol=0, atol=1e-12 * scale.max())
-    assert s.A_cross.shape == (len(m.cross_pairs), grid.n_steps + 1)
-    cross = np.zeros_like(s.A)
-    for row in s.A_cross:
-        cross = cross + row
-    np.testing.assert_allclose(s.A, s.A_i.sum(axis=0) + cross, rtol=0, atol=1e-12 * scale.max())
-    np.testing.assert_allclose(s.M, s.B - lam * s.A, rtol=0, atol=1e-12 * scale.max())
     # information components: nondecreasing diagonal, two-sided cross bound
     assert np.all(np.diff(s.A_i, axis=1) >= 0)
     assert s.A_i[0, 0] == 0.0
-    for row, (i, j) in zip(s.A_cross, m.cross_pairs):
+    if m.deterministic_info:
+        # the closed form the fusion center divides by, bit for bit
+        np.testing.assert_array_equal(s.A, m.det_info(times))
+        cross = {(i, j): m._cross_integrand[i][j].integral(times) for i, j in m.cross_pairs}
+        np.testing.assert_allclose(
+            s.A, s.A_i.sum(axis=0) + sum(cross.values()), rtol=0, atol=1e-12 * scale.max()
+        )
+    else:
+        for i in range(m.K):
+            np.testing.assert_array_equal(s.A_i[i], _random_row(m, paths, i, i))
+        np.testing.assert_array_equal(s.A, _random_info_reference(m, paths, s.A_i))
+        cross = {(i, j): _random_row(m, paths, i, j) for i, j in m.cross_pairs}
+    for (i, j), row in cross.items():
         bound = 0.5 * (s.A_i[i] + s.A_i[j])
         assert np.all(np.abs(row) <= bound + 1e-12 * (1 + bound))
-        if m.cross_deterministic[i, j]:
-            np.testing.assert_array_equal(row, m.det_cross(i, j, grid.times()))
-    # every unstored off-diagonal pair is deterministic and identically zero
+    # every off-diagonal pair left out of A is identically zero
     dense = np.linspace(0.0, 10.0 * grid.t_end, 4001)
     for i in range(m.K):
         for j in range(m.K):
-            if i != j and (i, j) not in m.cross_pairs:
-                assert m.cross_deterministic[i, j]
-                assert np.all(m.det_cross(i, j, dense) == 0.0)
+            if i == j or (i, j) in m.cross_pairs:
+                continue
+            if m.kind is ModelKind.GAUSSIAN_DET_INFO:
+                assert np.all(m._cross_integrand[i][j](dense) == 0.0)
+            elif m.kind is ModelKind.CORRELATED_DIFFUSION:
+                assert np.all(m.alpha_fn[i][j](dense) == 0.0)
+            elif not m.deterministic_info:
+                assert np.all(m.qv_density(i, j, paths.Y[:, :-1], times[:-1]) == 0.0)
 
 
 def test_statistics_memory_is_linear_in_sensor_count():
-    # Brownian cross-variations are identically zero, so nothing but the
-    # 2K per-sensor rows and the three totals may be held
+    # nothing but the 2K per-sensor rows and the two totals may be held
     K, n = 16, 10_000
     m = brownian(K=K, x=tuple(1.0 + 0.1 * i for i in range(K)))
     s = path_statistics(simulate_paths(m, 0.5, TimeGrid(1.0, n), seed=3), m)
@@ -290,7 +321,7 @@ def test_statistics_memory_is_linear_in_sensor_count():
         while a.base is not None:
             a = a.base
         buffers[id(a)] = a.nbytes
-    assert sum(buffers.values()) <= (2 * K + 4) * (n + 1) * 8
+    assert sum(buffers.values()) <= (2 * K + 2) * (n + 1) * 8
 
 
 def test_cross_pairs_are_the_pairs_that_can_be_nonzero():
@@ -309,15 +340,19 @@ def test_cross_pairs_are_the_pairs_that_can_be_nonzero():
     )
     m = build_model(ModelSpec(kind=ModelKind.CORRELATED_DIFFUSION, K=3, sigma=sig))
     assert m.cross_pairs == ((0, 1), (1, 0))
-    s = path_statistics(simulate_paths(m, 0.2, TimeGrid(2.0, 400), seed=8), m)
-    assert s.A_cross.shape == (2, 401)
-    np.testing.assert_array_equal(s.A_cross[0], s.A_cross[1])
+    paths = simulate_paths(m, 0.2, TimeGrid(2.0, 400), seed=8)
+    s = path_statistics(paths, m)
+    # the symmetric pair enters A twice, as the same row
+    row = _random_row(m, paths, 0, 1)
+    np.testing.assert_array_equal(row, _random_row(m, paths, 1, 0))
+    np.testing.assert_array_equal(s.A, s.A_i.sum(axis=0) + row + row)
     assert brownian(K=3, x=(1.0, 2.0, 3.0)).cross_pairs == ()
 
 
 def test_random_information_stores_only_random_cross_pairs():
     # with random information the fusion center's tA is the weighted sum
-    # of the tA_i alone, so no stored cross pair may be deterministic
+    # of the tA_i alone: every cross pair is random, counted in d_counts,
+    # and adds its accumulated row into A
     sig3 = (
         (CONST(1.0), CONST(0.0), CONST(0.0)),
         (CONST(0.5), CONST(1.0), CONST(0.0)),
@@ -332,9 +367,12 @@ def test_random_information_stores_only_random_cross_pairs():
     for spec in specs:
         m = build_model(spec)
         if m.deterministic_info:
+            assert m.d_counts.tolist() == [0] * m.K
             continue
         kinds.add(m.kind)
-        assert all(not m.cross_deterministic[i, j] for i, j in m.cross_pairs)
+        paths = simulate_paths(m, 0.2, TimeGrid(2.0, 400), seed=12)
+        s = path_statistics(paths, m)
+        np.testing.assert_array_equal(s.A, _random_info_reference(m, paths, s.A_i))
         per_sensor = [sum(1 for i, _ in m.cross_pairs if i == k) for k in range(m.K)]
         assert m.d_counts.tolist() == per_sensor
     assert kinds == {
@@ -359,7 +397,7 @@ def test_score_is_martingale_with_matching_quadratic_variation():
         A_end = np.empty(n)
         for rep in range(n):
             s = path_statistics(simulate_paths(m, lam, grid, seed=(505, rep)), m)
-            M_end[rep] = s.M[-1]
+            M_end[rep] = s.B[-1] - lam * s.A[-1]
             A_end[rep] = s.A[-1]
         assert abs(M_end.mean()) <= 4.0 * np.sqrt(A_end.mean() / n)
         resid = M_end**2 - A_end
