@@ -271,7 +271,8 @@ def _run_triggers_capped(stats: PathStats, model: Model, cfgs, max_level=None) -
     b_logs, a_logs = [], []
     for i in range(model.K):
         b_logs.append(run_b_trigger(stats.B_i[i], stats.grid, cfgs[i]))
-        a_logs.append(run_a_trigger(stats.A_i[i], stats.grid, cfgs[i].c, max_level=max_level))
+        A_i = None if stats.A_i is None else stats.A_i[i]
+        a_logs.append(run_a_trigger(A_i, stats.grid, cfgs[i].c, max_level=max_level))
     return MessageLog(b=tuple(b_logs), a=tuple(a_logs), cfgs=cfgs, horizon=stats.grid.t_end)
 
 
@@ -549,7 +550,8 @@ def audit_bounds(stats: PathStats, state: FusionState, log: MessageLog) -> Bound
         b_bound[i] = log.cfgs[i].delta_max
         b_ok = b_ok and b_gap[i] <= b_bound[i] + _FLOAT_TOL * (1 + b_bound[i])
 
-        a_diff = stats.A_i[i] - state.tA_i(i, grid_times)
+        A_i = model.det_info_i(i, grid_times) if stats.A_i is None else stats.A_i[i]
+        a_diff = A_i - state.tA_i(i, grid_times)
         a_max[i] = float(a_diff.max())
         a_min[i] = float(a_diff.min())
         c_arr[i] = log.cfgs[i].c if log.cfgs[i].c is not None else 0.0

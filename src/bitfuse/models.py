@@ -27,8 +27,12 @@ full truncation is nonlinear, steps in a Python loop.
 Quadratic (co)variations are accumulated from the model's diffusion coefficients,
 not from realized squared increments, and deterministic information is
 evaluated in closed form so downstream bound audits are exact at the
-grid points.  Cross-variations are added into A as they are formed and
-never stored, so statistics memory is 2K + 2 rows of the grid.
+grid points; its per-sensor rows are not stored, since ``det_info_i``
+gives them wherever they are read.  With a constant weight the
+left-endpoint sum for B_i telescopes to x_i (Y_i - Y_i(0)).
+Cross-variations are added into A as they are formed and never stored,
+so statistics memory is K + 2 rows of the grid for deterministic
+information and 2K + 2 for random information.
 
 The exponential-integrability condition that makes the drifted law a
 proper change of measure is assumed for every catalog model and is not
@@ -207,17 +211,20 @@ class PathStats:
     Arrays are indexed like the grid times: the per-sensor rows ``B_i``
     and ``A_i`` (shape (K, n + 1)) and the totals ``B`` and ``A``, whose
     A includes the cross-variations of the model's ``cross_pairs``.
+    ``A_i`` is None when the model's information is deterministic: its
+    rows are the closed form ``Model.det_info_i``.
     """
 
     grid: TimeGrid
     B_i: np.ndarray
-    A_i: np.ndarray
+    A_i: np.ndarray | None
     B: np.ndarray
     A: np.ndarray
 
     def __post_init__(self):
         for a in (self.B_i, self.A_i, self.B, self.A):
-            a.flags.writeable = False
+            if a is not None:
+                a.flags.writeable = False
 
     def value_at(self, arr: np.ndarray, t):
         """Linear interpolation of a stored path array at times t."""
@@ -612,13 +619,17 @@ def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed) -> SensorPath
 def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     """Compute B_i, A_i and their totals B and A along a simulated path.
 
-    Stochastic integrals are left-endpoint Riemann sums.  Deterministic
-    information comes from closed forms, A from ``model.det_info``.
-    Random information accumulates the model's diffusion coefficients, so
-    the per-step cross-variation bound |A_ij| <= (A_i + A_j)/2 holds
-    exactly; A is the sum of the A_i plus each pair of
-    ``model.cross_pairs``, added as it is formed.  Memory is 2K + 2 rows
-    of the grid.  An integral B_i or an information A_i beyond
+    Stochastic integrals are left-endpoint Riemann sums.  When the weights
+    are constant (``model.x_values`` has one column) the sum telescopes,
+    so B_i is x_i (Y_i - Y_i(0)); time-varying weights are summed step by
+    step.  Deterministic information is the closed form: A is
+    ``model.det_info`` and ``A_i`` is None, its rows being
+    ``model.det_info_i``.  Random information accumulates the model's
+    diffusion coefficients, so the per-step cross-variation bound
+    |A_ij| <= (A_i + A_j)/2 holds exactly; A is the sum of the A_i plus
+    each pair of ``model.cross_pairs``, added as it is formed.  Memory is
+    K + 2 rows of the grid for deterministic information and 2K + 2 for
+    random information.  An integral B_i or an information A_i beyond
     ``_BLOWUP_CAP`` raises ``NumericalBlowup``: the triggers could not
     send the messages such a statistic asks for.
     """
@@ -632,34 +643,44 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     Yl, tl = Y[:, :-1], times[:-1]
     X = model.x_values(Yl, tl)
 
-    B_i = np.zeros((K, times.size))
-    # the increments X * dY are formed and summed in place in B_i
-    dB = np.subtract(Y[:, 1:], Yl, out=B_i[:, 1:])
-    dB *= X
-    np.cumsum(dB, axis=1, out=dB)
+    B_i = np.empty((K, times.size))
+    if X.shape[1] == 1:
+        # constant weights: the sum of X * dY telescopes; on a one-step
+        # grid both forms are the same single term
+        np.subtract(Y, Y[:, :1], out=B_i)
+        B_i *= X
+    else:
+        # the increments X * dY are formed and summed in place in B_i
+        B_i[:, 0] = 0.0
+        dB = np.subtract(Y[:, 1:], Yl, out=B_i[:, 1:])
+        dB *= X
+        np.cumsum(dB, axis=1, out=dB)
     # reductions, not abs(): no K x (n+1) temporary; NaN fails the test
     if not (-_BLOWUP_CAP <= B_i.min() and B_i.max() <= _BLOWUP_CAP):
         raise NumericalBlowup(f"integral B_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
+    B = B_i.sum(axis=0)
 
     def random_part(i, j):
         out = np.zeros(times.size)
         np.cumsum(X[i] * X[j] * model.qv_density(i, j, Yl, tl) * dt, out=out[1:])
         return out
 
-    A_i = np.empty((K, times.size))
-    for i in range(K):
-        A_i[i] = model.det_info_i(i, times) if model.deterministic_info else random_part(i, i)
-    # information is nondecreasing: its end values bound it
-    if not np.all(A_i[:, -1] <= _BLOWUP_CAP):
-        raise NumericalBlowup(f"information A_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
-
-    B = B_i.sum(axis=0)
     if model.deterministic_info:
+        A_i = None
+        A_end = [model.det_info_i(i, times[-1]) for i in range(K)]
         A = model.det_info(times)
     else:
+        A_i = np.empty((K, times.size))
+        for i in range(K):
+            A_i[i] = random_part(i, i)
+        A_end = A_i[:, -1]
         A = A_i.sum(axis=0)
         # same summation order as over all off-diagonal pairs; the skipped
         # pairs add exact zeros
         for i, j in model.cross_pairs:
             A = A + random_part(i, j)
+    # information is nondecreasing: its end values bound it, sensor by
+    # sensor (a total with negative cross terms can sit below one A_i)
+    if not np.all(np.asarray(A_end) <= _BLOWUP_CAP):
+        raise NumericalBlowup(f"information A_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
     return PathStats(grid=grid, B_i=B_i, A_i=A_i, B=B, A=A)

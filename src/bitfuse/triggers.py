@@ -324,13 +324,14 @@ def _discrete_b_trigger(samples, sample_times, cfg):
     )
 
 
-def run_a_trigger(A_path: np.ndarray, grid: TimeGrid, c: float | None,
+def run_a_trigger(A_path: np.ndarray | None, grid: TimeGrid, c: float | None,
                   max_level: float | None = None) -> AMessages:
     """Timing messages: the n-th fires at the first (interpolated) time
     the nondecreasing information path reaches n*c.
 
     Returns an empty log when c is None (the sensor never sends timing
-    messages because the model's information is deterministic).
+    messages because the model's information is deterministic); the
+    path is not read then and may be None, as ``PathStats.A_i`` is.
     ``max_level`` optionally caps the emitted levels; levels above it can
     never be consumed by a stopping rule targeting that amount of
     information.
@@ -375,7 +376,8 @@ def run_triggers(stats: PathStats, model: Model, cfgs) -> MessageLog:
     b_logs, a_logs = [], []
     for i in range(model.K):
         b_logs.append(run_b_trigger(stats.B_i[i], stats.grid, cfgs[i]))
-        a_logs.append(run_a_trigger(stats.A_i[i], stats.grid, cfgs[i].c))
+        A_i = None if stats.A_i is None else stats.A_i[i]
+        a_logs.append(run_a_trigger(A_i, stats.grid, cfgs[i].c))
     return MessageLog(b=tuple(b_logs), a=tuple(a_logs), cfgs=cfgs, horizon=stats.grid.t_end)
 
 

@@ -301,8 +301,9 @@ def test_pathwise_bounds_and_information_sandwich(spec, lam, n, t_end, delta_up,
     report = audit_bounds(stats, state, log)
     assert report.b_ok and report.a_upper_ok
     if model.deterministic_info:
-        # A is the closed form the fusion center uses
+        # A and each A_i are the closed forms the fusion center uses
         assert report.a_gap_max_total == report.a_gap_min_total == 0.0
+        assert np.all(report.a_gap_max_i == 0.0) and np.all(report.a_gap_min_i == 0.0)
     if model.d_counts.any():
         return
     assert report.a_lower_ok

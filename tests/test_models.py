@@ -138,8 +138,11 @@ def test_determinism_bitwise():
         assert np.array_equal(p1.Y, p2.Y)
         s1 = path_statistics(p1, m)
         s2 = path_statistics(p2, m)
+        # deterministic information keeps no per-sensor rows
+        assert (s1.A_i is None) == (s2.A_i is None) == m.deterministic_info
         for name in ("B_i", "A_i", "B", "A"):
-            assert np.array_equal(getattr(s1, name), getattr(s2, name))
+            if getattr(s1, name) is not None:
+                assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
 
 def test_blowup_detection():
@@ -173,14 +176,29 @@ def test_brownian_rows_match_one_whole_array_draw():
 
 def test_statistics_blowup_detection():
     # each path stays far under the cap while its integral B_i (up, then
-    # down) or its information A_i does not
-    m = build_model(ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=1, alpha=(1.0,)))
-    for grid, y, what in (
-        (TimeGrid(1e-6, 2), (0.0, 1e6, 3e6), "B_i"),
-        (TimeGrid(1e-6, 2), (0.0, 1e6, -1e6), "B_i"),
-        (TimeGrid(1e6, 2), (0.0, 1e4, 1e4), "A_i"),
+    # down) or its information A_i does not: a weight that varies in time
+    # (OU), a constant weight (square-root, B_i in closed form) and
+    # deterministic information (Brownian, and a Gaussian pair whose total
+    # stays under the cap while each sensor's A_i does not)
+    ou = build_model(ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=1, alpha=(1.0,)))
+    sqrt = build_model(ModelSpec(kind=ModelKind.SQUARE_ROOT_DIFFUSION, K=1, x=(1e7,)))
+    bm = brownian(K=1, x=(1e3,))
+    anti = ((CONST(1.0), CONST(-0.999)), (CONST(-0.999), CONST(1.0)))
+    gauss = build_model(
+        ModelSpec(kind=ModelKind.GAUSSIAN_DET_INFO, K=2, b=(CONST(1.0), CONST(1.0)), rho=anti)
+    )
+    assert gauss.det_info(1e13) < 1e12 < gauss.det_info_i(0, 1e13)
+    for m, grid, y, what in (
+        (ou, TimeGrid(1e-6, 2), (0.0, 1e6, 3e6), "B_i"),
+        (ou, TimeGrid(1e-6, 2), (0.0, 1e6, -1e6), "B_i"),
+        (ou, TimeGrid(1e6, 2), (0.0, 1e4, 1e4), "A_i"),
+        (sqrt, TimeGrid(1e-6, 2), (1.0, 1e6, 3e6), "B_i"),
+        (sqrt, TimeGrid(1e-6, 2), (1.0, 1e6, -1e6), "B_i"),
+        (bm, TimeGrid(1e7, 2), (0.0, 1.0, 2.0), "A_i"),
+        (gauss, TimeGrid(1e13, 2), ((0.0, 1.0, 2.0), (0.0, -1.0, 0.0)), "A_i"),
     ):
-        p = SensorPaths(grid=grid, Y=np.array([y]), lambda_true=0.1, seed=0)
+        Y = np.array(y, ndmin=2)
+        p = SensorPaths(grid=grid, Y=Y, lambda_true=0.1, seed=0)
         with pytest.raises(NumericalBlowup, match=what):
             path_statistics(p, m)
 
@@ -199,7 +217,9 @@ def test_weight_two_information_is_exactly_linear():
     m = brownian(K=1, x=(2.0,))
     grid = TimeGrid(2.0, 500)
     s = path_statistics(simulate_paths(m, 0.5, grid, seed=5), m)
-    np.testing.assert_array_equal(s.A_i[0], 4.0 * grid.times())
+    assert s.A_i is None
+    np.testing.assert_array_equal(m.det_info_i(0, grid.times()), 4.0 * grid.times())
+    np.testing.assert_array_equal(s.A, 4.0 * grid.times())
 
 
 def test_zero_path_gives_zero_integral_and_score_identity():
@@ -273,18 +293,24 @@ def test_pointwise_identities_all_models(spec, lam):
     paths = simulate_paths(m, lam, grid, seed=77)
     s = path_statistics(paths, m)
     assert [f.name for f in dataclasses.fields(s)] == ["grid", "B_i", "A_i", "B", "A"]
+    # deterministic information is read from the closed form, not stored
+    assert (s.A_i is None) == m.deterministic_info
+    if m.deterministic_info:
+        A_i = np.stack([m.det_info_i(i, times) for i in range(m.K)])
+    else:
+        A_i = s.A_i
     scale = 1.0 + np.abs(s.A) + np.abs(s.B)
     # totals decompose into per-sensor pieces
     np.testing.assert_allclose(s.B, s.B_i.sum(axis=0), rtol=0, atol=1e-12 * scale.max())
     # information components: nondecreasing diagonal, two-sided cross bound
-    assert np.all(np.diff(s.A_i, axis=1) >= 0)
-    assert s.A_i[0, 0] == 0.0
+    assert np.all(np.diff(A_i, axis=1) >= 0)
+    assert np.all(A_i[:, 0] == 0.0)
     if m.deterministic_info:
         # the closed form the fusion center divides by, bit for bit
         np.testing.assert_array_equal(s.A, m.det_info(times))
         cross = {(i, j): m._cross_integrand[i][j].integral(times) for i, j in m.cross_pairs}
         np.testing.assert_allclose(
-            s.A, s.A_i.sum(axis=0) + sum(cross.values()), rtol=0, atol=1e-12 * scale.max()
+            s.A, A_i.sum(axis=0) + sum(cross.values()), rtol=0, atol=1e-12 * scale.max()
         )
     else:
         for i in range(m.K):
@@ -292,7 +318,7 @@ def test_pointwise_identities_all_models(spec, lam):
         np.testing.assert_array_equal(s.A, _random_info_reference(m, paths, s.A_i))
         cross = {(i, j): _random_row(m, paths, i, j) for i, j in m.cross_pairs}
     for (i, j), row in cross.items():
-        bound = 0.5 * (s.A_i[i] + s.A_i[j])
+        bound = 0.5 * (A_i[i] + A_i[j])
         assert np.all(np.abs(row) <= bound + 1e-12 * (1 + bound))
     # every off-diagonal pair left out of A is identically zero
     dense = np.linspace(0.0, 10.0 * grid.t_end, 4001)
@@ -308,11 +334,63 @@ def test_pointwise_identities_all_models(spec, lam):
                 assert np.all(m.qv_density(i, j, paths.Y[:, :-1], times[:-1]) == 0.0)
 
 
-def test_statistics_memory_is_linear_in_sensor_count():
-    # nothing but the 2K per-sensor rows and the two totals may be held
-    K, n = 16, 10_000
-    m = brownian(K=K, x=tuple(1.0 + 0.1 * i for i in range(K)))
-    s = path_statistics(simulate_paths(m, 0.5, TimeGrid(1.0, n), seed=3), m)
+def _riemann_b_i(m, paths):
+    """B_i as the left-endpoint Riemann sum, summed step by step."""
+    Y = paths.Y
+    dB = m.x_values(Y[:, :-1], paths.grid.times()[:-1]) * np.diff(Y, axis=1)
+    out = np.zeros(Y.shape)
+    np.cumsum(dB, axis=1, out=out[:, 1:])
+    return out, dB
+
+
+@st.composite
+def _constant_weight_specs(draw):
+    K = draw(st.integers(1, 4))
+    x = tuple(draw(st.floats(0.05, 3.0)) * draw(st.sampled_from((-1.0, 1.0))) for _ in range(K))
+    if draw(st.booleans()):
+        return ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=K, x=x)
+    y0 = tuple(draw(st.floats(0.0, 3.0)) for _ in range(K))
+    return ModelSpec(kind=ModelKind.SQUARE_ROOT_DIFFUSION, K=K, x=x, y0=y0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=_constant_weight_specs(),
+    lam=st.floats(-1.0, 1.0),
+    n=st.one_of(st.integers(1, 3), st.integers(1, 2000)),
+    t_end=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_constant_weight_integral_is_the_riemann_sum(spec, lam, n, t_end, seed):
+    # x_i (Y_i - Y_i(0)) rounds twice; the step-by-step sum rounds at each
+    # of its k additions, by at most k eps times the sum of its terms' sizes
+    m = build_model(spec)
+    paths = simulate_paths(m, lam, TimeGrid(t_end, n), seed=seed)
+    s = path_statistics(paths, m)
+    ref, dB = _riemann_b_i(m, paths)
+    size = np.zeros(ref.shape)
+    np.cumsum(np.abs(dB), axis=1, out=size[:, 1:])
+    eps = np.finfo(float).eps
+    tol = np.arange(n + 1) * eps * size + eps * np.abs(s.B_i)
+    assert np.all(np.abs(s.B_i - ref) <= tol)
+    np.testing.assert_array_equal(s.B, s.B_i.sum(axis=0))
+
+
+@pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])
+def test_one_step_grid_gives_one_integral_term(spec, lam):
+    # on one step the closed form and the step-by-step sum are the same
+    # single product, whatever the weights
+    m = build_model(spec)
+    paths = simulate_paths(m, lam, TimeGrid(0.7, 1), seed=5)
+    s = path_statistics(paths, m)
+    Y = paths.Y
+    X = m.x_values(Y[:, :-1], paths.grid.times()[:-1])
+    np.testing.assert_array_equal(s.B_i, _riemann_b_i(m, paths)[0])
+    np.testing.assert_array_equal(s.B_i, X * (Y - Y[:, :1]))
+
+
+def _stats_bytes(s):
+    """Bytes of the distinct buffers behind a PathStats' arrays."""
     buffers = {}
     for f in dataclasses.fields(s):
         a = getattr(s, f.name)
@@ -321,7 +399,25 @@ def test_statistics_memory_is_linear_in_sensor_count():
         while a.base is not None:
             a = a.base
         buffers[id(a)] = a.nbytes
-    assert sum(buffers.values()) <= (2 * K + 2) * (n + 1) * 8
+    return sum(buffers.values())
+
+
+def test_statistics_memory_is_linear_in_sensor_count():
+    # deterministic information: nothing but the K rows of B_i and the
+    # two totals may be held
+    K, n = 16, 10_000
+    m = brownian(K=K, x=tuple(1.0 + 0.1 * i for i in range(K)))
+    s = path_statistics(simulate_paths(m, 0.5, TimeGrid(1.0, n), seed=3), m)
+    assert _stats_bytes(s) <= (K + 2) * (n + 1) * 8
+
+
+def test_random_information_statistics_memory():
+    # random information: the K rows of A_i on top, and nothing more
+    K, n = 16, 10_000
+    spec = ModelSpec(kind=ModelKind.SQUARE_ROOT_DIFFUSION, K=K, x=tuple(0.1 * (i + 1) for i in range(K)))
+    m = build_model(spec)
+    s = path_statistics(simulate_paths(m, 0.5, TimeGrid(1.0, n), seed=3), m)
+    assert _stats_bytes(s) <= (2 * K + 2) * (n + 1) * 8
 
 
 def test_cross_pairs_are_the_pairs_that_can_be_nonzero():
