@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,16 +78,8 @@ def _load_config(args) -> RunConfig:
     text = Path(args.config).read_text()
     cfg = parse_config(text)
     if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(
-            cfg,
-            master_seed=args.seed,
-            experiment=replace(cfg.experiment, master_seed=args.seed),
-        )
+        cfg = replace(cfg, experiment=replace(cfg.experiment, master_seed=args.seed))
     if args.out is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, output=args.out)
     return cfg
 
@@ -131,8 +124,9 @@ def _cmd_experiment(args) -> int:
     out = _outdir(cfg)
     digest = config_hash(cfg)
     report = run_experiment(cfg.experiment, threads=_threads(args))
-    rows_path = out / f"rows_{digest}_{cfg.master_seed}.csv"
-    summary_path = out / f"summary_{digest}_{cfg.master_seed}.json"
+    seed = cfg.experiment.master_seed
+    rows_path = out / f"rows_{digest}_{seed}.csv"
+    summary_path = out / f"summary_{digest}_{seed}.json"
     rows_path.write_text(rows_csv_text(report))
     summary_path.write_text(summary_json_text(report, config_hash=digest))
     for w in report.warnings:

@@ -21,7 +21,6 @@ from .experiments import (
     PowerLawRule,
     SequentialRegime,
 )
-from .fusion import ESTIMATOR_NAMES
 from .models import ModelKind, ModelSpec
 from .triggers import CONTINUOUS, TriggerConfig
 
@@ -54,9 +53,10 @@ _TOP_KEYS = {"master_seed", "output", "model", "trigger", "experiment"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    master_seed: int
+    """A parsed run file.  The master seed and the model are the
+    experiment's: ``experiment.master_seed`` and ``experiment.model``."""
+
     output: str
-    model: ModelSpec
     triggers: tuple | None
     experiment: ExperimentConfig
 
@@ -73,7 +73,7 @@ def _rule_from(d, where, violations):
         return None
     _check_keys(d, _RULE_KEYS, where, violations)
     try:
-        return PowerLawRule(a=float(d["a"]), b=float(d["b"]))
+        return PowerLawRule.from_dict(d)
     except (KeyError, TypeError, ValueError, InvalidSpec) as exc:
         violations.append(f"{where}: {exc}")
         return None
@@ -202,32 +202,21 @@ def parse_config(text: str) -> RunConfig:
         regime = _regime_from(edoc.get("regime"), violations)
         if model is not None and regime is not None and not violations:
             try:
-                ests = edoc["estimators"]
-                bad = [e for e in ests if e not in ESTIMATOR_NAMES]
-                if bad:
-                    violations.append(f"experiment.estimators: unknown names {bad}")
-                else:
-                    experiment = ExperimentConfig(
-                        model=model,
-                        lambda_true=float(edoc["lambda_true"]),
-                        regime=regime,
-                        n_replications=int(edoc["n_replications"]),
-                        master_seed=int(master_seed),
-                        estimators=tuple(ests),
-                        grid_steps_per_unit=float(edoc.get("grid_steps_per_unit", 32.0)),
-                    )
+                experiment = ExperimentConfig(
+                    model=model,
+                    lambda_true=float(edoc["lambda_true"]),
+                    regime=regime,
+                    n_replications=int(edoc["n_replications"]),
+                    master_seed=int(master_seed),
+                    estimators=tuple(edoc["estimators"]),
+                    grid_steps_per_unit=float(edoc.get("grid_steps_per_unit", 32.0)),
+                )
             except (KeyError, TypeError, ValueError, InvalidSpec) as exc:
                 violations.append(f"experiment: {exc}")
 
     if violations:
         raise ValidationError(violations)
-    return RunConfig(
-        master_seed=int(master_seed),
-        output=output,
-        model=model,
-        triggers=triggers,
-        experiment=experiment,
-    )
+    return RunConfig(output=output, triggers=triggers, experiment=experiment)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -248,9 +237,9 @@ def serialize_config(cfg: RunConfig) -> str:
         rdoc["delta_rule"] = regime.delta_rule.to_dict()
         rdoc["h_list"] = list(regime.h_list)
     doc = {
-        "master_seed": cfg.master_seed,
+        "master_seed": exp.master_seed,
         "output": cfg.output,
-        "model": cfg.model.to_dict(),
+        "model": exp.model.to_dict(),
         "experiment": {
             "lambda_true": exp.lambda_true,
             "regime": rdoc,

@@ -144,8 +144,8 @@ class DiscreteSamplingRegime:
     """One point per sampling period h, all on the horizon t; each
     sensor's bit threshold is ``delta_rule(t)``.  Accepts the
     fixed-horizon estimators only, and every h must be a whole number of
-    grid steps; an ``ExperimentConfig`` breaking either is rejected at
-    construction."""
+    steps of the grid t gets (``ExperimentConfig.grid_for(t)``); an
+    ``ExperimentConfig`` breaking either is rejected at construction."""
 
     t: float
     delta_rule: PowerLawRule
@@ -168,7 +168,8 @@ class ExperimentConfig:
     """A replication study.  Construction rejects (``InvalidSpec``) fewer
     than 2 replications, a non-positive grid refinement, unknown
     estimators or none, estimators the regime does not accept, and
-    sampling periods that are not a whole number of grid steps."""
+    sampling periods that are not a whole number of steps of the
+    horizon's grid (``TimeGrid.stride``)."""
 
     model: ModelSpec
     lambda_true: float
@@ -192,10 +193,9 @@ class ExperimentConfig:
         if bad:
             raise InvalidSpec(f"estimators {bad} do not apply to a {self.regime.kind} regime")
         if self.regime.kind == "discrete_sampling":
+            grid = self.grid_for(self.regime.t)
             for h in self.regime.points():
-                steps = h * self.grid_steps_per_unit
-                if abs(round(steps) - steps) > 1e-9:
-                    raise InvalidSpec("sampling period must be an integer number of grid steps")
+                grid.stride(h)
 
     def grid_for(self, t_end: float) -> TimeGrid:
         n = max(1, int(round(t_end * self.grid_steps_per_unit)))
@@ -528,7 +528,7 @@ def audit_bounds(stats: PathStats, state: FusionState, log: MessageLog) -> Bound
     mode = log.cfgs[0].mode
     if any(c.mode != mode or c.h != log.cfgs[0].h for c in log.cfgs):
         raise InvalidSpec("bound audit requires a common mode and sampling period")
-    stride = 1 if mode == CONTINUOUS else int(round(log.cfgs[0].h / stats.grid.dt))
+    stride = 1 if mode == CONTINUOUS else stats.grid.stride(log.cfgs[0].h)
     grid_times = stats.grid.times()
     times = grid_times[::stride]
 

@@ -316,36 +316,30 @@ def exit_time_cdf(p: ExitProblem, ts) -> np.ndarray:
     return np.interp(ts, grid, cdf_grid)
 
 
-def _first_exits(v, z, u, a, drift, sdt, dt):
+def _first_exits(v, path, u, a, dt):
     """First exit of each walker within one block of steps.
 
-    ``v`` holds the m walkers' start values, ``z`` (m, S) their standard
-    normal draws, so that a step adds drift + sdt * z, and ``u``
-    (2, m, S) the uniforms of the up and down bridge tests.  A step that
-    ends on or beyond a barrier is a hard exit, at the linear-interpolation
-    fraction theta of the step.  A step from v0 that ends inside at v1 is
-    a bridged exit, at theta = 1/2, when a uniform falls below its
-    barrier's crossing probability exp(-2 (a - v0)(a - v1) / dt) or
+    ``v`` holds the r walkers' start values, ``path`` (S, r) their values
+    after each step, as ``_walk_block`` gives them, and ``u`` (2, S, r)
+    the uniforms of the up and down bridge tests.  A step that ends on or
+    beyond a barrier is a hard exit, at the linear-interpolation fraction
+    theta of the step.  A step from v0 that ends inside at v1 is a bridged
+    exit, at theta = 1/2, when a uniform falls below its barrier's
+    crossing probability exp(-2 (a - v0)(a - v1) / dt) or
     exp(-2 (a + v0)(a + v1) / dt); when both bridges fire, the larger
     probability wins.
 
-    Returns the rows of the walkers that exited, their exit step within
-    the block, theta and side (1 up, 0 down), and every walker's value at
-    the end of the block.
+    Returns the indices (columns of ``path``) of the walkers that exited,
+    their exit step within the block, theta and side (1 up, 0 down).
     """
-    m = z.shape[0]
-    path = drift + sdt * z
-    path[:, 0] += v
-    np.cumsum(path, axis=1, out=path)
+    r = path.shape[1]
     p = []
     for gap, start, uniform in ((a - path, a - v, u[0]), (a + path, a + v, u[1])):
         # exponent -2 * gap(v0) * gap(v1) / dt of every step; dividing by
-        # -dt/2 rounds exactly as multiplying by -2 and dividing by dt.
-        # Products across row ends are overwritten by the first column.
+        # -dt/2 rounds exactly as multiplying by -2 and dividing by dt
         expo = np.empty_like(gap)
-        flat_gap, flat_expo = gap.reshape(-1), expo.reshape(-1)
-        np.multiply(flat_gap[:-1], flat_gap[1:], out=flat_expo[1:])
-        expo[:, 0] = start * gap[:, 0]
+        np.multiply(gap[:-1], gap[1:], out=expo[1:])
+        np.multiply(start, gap[0], out=expo[0])
         expo /= -0.5 * dt
         # A hard exit has a nonpositive gap after the step, so its
         # exponent is >= 0 and its uniform always falls below the
@@ -363,19 +357,19 @@ def _first_exits(v, z, u, a, drift, sdt, dt):
         p.append(prob)
     p_up, p_dn = p
     event = (u[0] < p_up) | (u[1] < p_dn)
-    step = event.argmax(axis=1)
-    rows = np.flatnonzero(event[np.arange(m), step])
+    step = event.argmax(axis=0)
+    rows = np.flatnonzero(event[step, np.arange(r)])
     step = step[rows]
-    v1 = path[rows, step]
-    v0 = np.where(step > 0, path[rows, step - 1], v[rows])
-    pu, pd = p_up[rows, step], p_dn[rows, step]
+    v1 = path[step, rows]
+    v0 = np.where(step > 0, path[step - 1, rows], v[rows])
+    pu, pd = p_up[step, rows], p_dn[step, rows]
     hard_up, hard_dn = v1 >= a, v1 <= -a
-    bridged_up = (u[0, rows, step] < pu) & ((u[1, rows, step] >= pd) | (pu >= pd))
+    bridged_up = (u[0, step, rows] < pu) & ((u[1, step, rows] >= pd) | (pu >= pd))
     up = hard_up | (~hard_dn & bridged_up)
     theta = np.full(rows.size, 0.5)
     theta[hard_up] = (a - v0[hard_up]) / (v1[hard_up] - v0[hard_up])
     theta[hard_dn] = (-a - v0[hard_dn]) / (v1[hard_dn] - v0[hard_dn])
-    return rows, step, theta, up.astype(np.uint8), path[:, -1]
+    return rows, step, theta, up.astype(np.uint8)
 
 
 def _walk_block(v, z, a, drift, sdt, dt):
@@ -384,10 +378,11 @@ def _walk_block(v, z, a, drift, sdt, dt):
 
     ``v`` holds the m walkers' start values and ``z`` (S, m) their
     standard normal draws, one row per step.  Returns the path (S, m),
-    which adds drift + sdt * z step by step with the same bits as
-    ``_first_exits`` on the draws ``z.T``, and a mask of the near
-    walkers: those whose start value or some step's end comes within
+    each walker's value after each step, which adds drift + sdt * z to
+    the value before it, and a mask of the near walkers: those whose
+    start value or some step's end comes within
     w = sqrt(``_BRIDGE_REACH`` * dt) of a barrier, |v| >= a - w.
+    ``_first_exits`` finds the near walkers' exits from their columns.
 
     A walker that is not near has gaps above w to both barriers before
     and after each of its steps, so each step's bridge probability
@@ -427,11 +422,12 @@ def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed):
     walker's current value give every walker's path over the block
     (``_walk_block``).  Only the r walkers whose path comes within
     w = sqrt(20 dt) of a barrier draw uniforms, one (2, r, S) draw, and
-    get their first exit from one pass over the block (``_first_exits``);
-    the others carry their end value into the next block.  S is the
-    largest step count with m*S <= ``_WALK_BLOCK`` = 2^14, and 1 while
-    more walkers remain, so a block's temporaries are a few MB beside the
-    n-long outputs, and blocks lengthen as walkers exit.
+    get their first exit from their columns of that path
+    (``_first_exits``); every walker that stays in carries the path's
+    last row into the next block.  S is the largest step count with
+    m*S <= ``_WALK_BLOCK`` = 2^14, and 1 while more walkers remain, so a
+    block's temporaries are a few MB beside the n-long outputs, and
+    blocks lengthen as walkers exit.
 
     Exits follow the per-step rules exactly for the walkers tested.  A
     step of a walker left out has a bridge probability below e^-40, under
@@ -460,12 +456,9 @@ def simulate_exit_times(p: ExitProblem, n: int, dt: float, seed):
         path, near = _walk_block(v, z, a, drift, sdt, dt)
         near = np.flatnonzero(near)
         if near.size:
-            # _first_exits flattens its (walker, step) arrays, so it needs
-            # them in C order
+            # drawn walker by walker, the layout a seed's stream has always had
             u = rng.random((2, near.size, S))
-            rows, step, theta, up, _ = _first_exits(
-                v[near], np.ascontiguousarray(z.T[near]), u, a, drift, sdt, dt
-            )
+            rows, step, theta, up = _first_exits(v[near], path[:, near], u.transpose(0, 2, 1), a, dt)
             exited = near[rows]
             done = remaining[exited]
             out_t[done] = (steps_before + step) * dt + theta * dt

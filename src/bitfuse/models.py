@@ -96,6 +96,16 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
+    def stride(self, h: float) -> int:
+        """The number of grid steps in the sampling period h.  Raises
+        ``InvalidSpec`` unless h is a whole number of steps, at least
+        one, to a relative 1e-9."""
+        steps = h / self.dt
+        n = round(steps) if math.isfinite(steps) else 0
+        if n < 1 or abs(n * self.dt - h) > 1e-9 * h:
+            raise InvalidSpec("sampling period h must be an integer multiple of the grid step")
+        return n
+
 
 def _as_matrix_of_timefunctions(entries, K, name):
     if entries is None:

@@ -127,9 +127,16 @@ def paths_csv_text(paths: SensorPaths, stats: PathStats) -> str:
 
 
 def messages_csv_text(log: MessageLog) -> str:
+    """One line per message (sensor, kind, time, bit, overshoot), sensor
+    by sensor in time order, bit messages first on ties; a timing message
+    leaves bit and overshoot empty."""
     lines = ["sensor,kind,time,bit,overshoot"]
-    for sensor, kind, t, bit, eta in log.to_csv_rows():
-        lines.append(f"{sensor},{kind},{fmt(t)},{bit if bit != '' else ''},{fmt(eta) if eta != '' else ''}")
+    for i in range(log.K):
+        b = log.b[i]
+        rows = [(t, 0, f"B,{fmt(t)},{int(z)},{fmt(eta)}") for t, z, eta in zip(b.time, b.bit, b.overshoot)]
+        rows += [(t, 1, f"A,{fmt(t)},,") for t in log.a[i].time]
+        rows.sort(key=lambda r: (r[0], r[1]))
+        lines += [f"{i},{text}" for _t, _kind, text in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -125,17 +125,6 @@ class MessageLog:
     def K(self) -> int:
         return len(self.b)
 
-    def to_csv_rows(self):
-        """Rows (sensor, kind, time, bit, overshoot), bit messages first
-        on ties within a sensor."""
-        for i in range(self.K):
-            rows = [(t, 0, int(z), eta) for t, z, eta in
-                    zip(self.b[i].time, self.b[i].bit, self.b[i].overshoot)]
-            rows += [(t, 1, "", "") for t in self.a[i].time]
-            rows.sort(key=lambda r: (r[0], r[1]))
-            for t, kind, bit, eta in rows:
-                yield (i, "B" if kind == 0 else "A", t, bit, eta)
-
 
 _WINDOW = 256  # first scan window, in grid steps
 _MAX_WINDOW = 1 << 20
@@ -194,9 +183,7 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMe
     if not (-np.inf < B.min() and B.max() < np.inf):
         raise InvalidSpec("statistic path must be finite")
     if cfg.mode == DISCRETE:
-        stride = int(round(cfg.h / grid.dt))
-        if stride < 1 or abs(stride * grid.dt - cfg.h) > 1e-9 * cfg.h:
-            raise InvalidSpec("sampling period h must be an integer multiple of the grid step")
+        stride = grid.stride(cfg.h)
         samples = B[::stride]
         sample_times = grid.times()[::stride]
         return _discrete_b_trigger(samples, sample_times, cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -38,9 +39,9 @@ def test_minimal_config_parses_with_defaults():
     doc = minimal_doc()
     del doc["experiment"]["grid_steps_per_unit"]
     cfg = parse_config(json.dumps(doc))
-    assert cfg.master_seed == 99
+    assert cfg.experiment.master_seed == 99
     assert cfg.experiment.grid_steps_per_unit == 32.0
-    assert cfg.model.K == 2
+    assert cfg.experiment.model.K == 2
     assert cfg.triggers is None
 
 
@@ -49,6 +50,14 @@ def test_unknown_key_rejected_by_name():
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(doc))
     assert any("foo" in v for v in err.value.violations)
+
+
+def test_unknown_estimator_rejected_by_name():
+    doc = minimal_doc()
+    doc["experiment"]["estimators"] = ["decentralized_fixed", "bogus"]
+    with pytest.raises(ValidationError) as err:
+        parse_config(json.dumps(doc))
+    assert any("bogus" in v for v in err.value.violations)
 
 
 def test_negative_threshold_rejected():
@@ -93,7 +102,7 @@ def test_round_trip_sequential_with_model_tables():
         estimators=(DECENTRALIZED_SEQUENTIAL,),
         grid_steps_per_unit=100.0,
     )
-    cfg = RunConfig(master_seed=7, output="runs/x", model=model, triggers=None, experiment=exp)
+    cfg = RunConfig(output="runs/x", triggers=None, experiment=exp)
     assert parse_config(serialize_config(cfg)) == cfg
     assert len(config_hash(cfg)) == 10
 
@@ -137,6 +146,48 @@ def test_simulate_writes_paths_and_messages(tmp_path):
     messages = (tmp_path / "sim" / "messages.csv").read_text().splitlines()
     assert messages[0] == "sensor,kind,time,bit,overshoot"
     assert len(messages) > 1
+
+
+SIMULATE_RUNS = {
+    # timing messages: sequential thresholds give every sensor a c
+    "ou_sequential": ({
+        "master_seed": 7,
+        "model": {"kind": "ornstein_uhlenbeck", "K": 2, "alpha": [1.0, 0.5]},
+        "experiment": {
+            "lambda_true": 0.5,
+            "regime": {"type": "sequential", "gamma_list": [30.0], "c_rule": {"a": 0.5, "b": 0.25},
+                       "delta_rule": {"a": 0.5, "b": 0.25}, "initial_horizon": 4.0},
+            "n_replications": 2,
+            "estimators": ["decentralized_sequential"],
+            "grid_steps_per_unit": 50.0,
+        },
+    }, "298bba3ea35e44a499ed6565d1ff8e5b61b0f1e24f620922193afccefbc63c81",
+       "2405b101aa771ebe36f8af9078316858e02ec90ee9951d80ceb8c7deb92957e2"),
+    # nonzero overshoots: discrete sampling
+    "brownian_discrete": ({
+        "master_seed": 3,
+        "model": {"kind": "brownian_constant", "K": 2, "x": [1.0, 2.0]},
+        "experiment": {
+            "lambda_true": 1.0,
+            "regime": {"type": "discrete_sampling", "t": 50.0, "delta_rule": {"a": 1.0, "b": 0.25},
+                       "h_list": [0.2]},
+            "n_replications": 2,
+            "estimators": ["decentralized_fixed"],
+            "grid_steps_per_unit": 20.0,
+        },
+    }, "cb4f2a0a50c2fd79b5833c71a97af6753dc34fe87274914061d5a7aa76762232",
+       "4b391e9f2dbdd68bb1a37d836964073f8159a21ee04d63dd7d5df2bf1f6a9c45"),
+}
+
+
+@pytest.mark.parametrize("name", list(SIMULATE_RUNS))
+def test_simulate_output_bytes_are_pinned(tmp_path, name):
+    doc, paths_sha, messages_sha = SIMULATE_RUNS[name]
+    doc = dict(doc, output=str(tmp_path / name))
+    assert main(["simulate", "--config", _write_cfg(tmp_path, doc)]) == 0
+    digest = {f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+              for f in ("paths.csv", "messages.csv")}
+    assert digest == {"paths.csv": paths_sha, "messages.csv": messages_sha}
 
 
 def test_simulate_and_estimate_agree_on_discrete_thresholds(tmp_path):

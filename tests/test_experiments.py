@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ def test_grid_refinement_must_align_with_sampling_period():
             estimators=(DECENTRALIZED_FIXED,),
             grid_steps_per_unit=7.0,  # 0.3 * 7 = 2.1 steps: invalid
         )
+    # the horizon 10.25 gets round(102.5) = 102 steps of 10.25/102, not 0.1:
+    # h = 0.5 is 4.975 of them, and five of them make a valid h
+    with pytest.raises(InvalidSpec):
+        replace(cfg, regime=DiscreteSamplingRegime(t=10.25, delta_rule=PowerLawRule(5.0, 0.0), h_list=(0.5,)))
+    five = replace(cfg, regime=DiscreteSamplingRegime(
+        t=10.25, delta_rule=PowerLawRule(5.0, 0.0), h_list=(5 * (10.25 / 102),)
+    ))
+    assert five.grid_for(10.25).n_steps == 102
+    report = run_experiment(five)
+    assert len(report.rows) == 2 and all(r.ok for r in report.rows)
+    # a period with no whole step count is invalid input, not an overflow
+    for h in (float("inf"), float("nan")):
+        with pytest.raises(InvalidSpec):
+            replace(cfg, regime=DiscreteSamplingRegime(t=100.0, delta_rule=PowerLawRule(5.0, 0.0), h_list=(h,)))
 
 
 SEQUENTIAL_RULES = dict(

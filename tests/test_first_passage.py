@@ -336,9 +336,11 @@ def reference_walk(v, z, u, a, drift, sdt, dt):
 
 
 def assert_walks_agree(v, z, u, a, drift, sdt, dt):
-    """The block pass against the per-step reference, bit for bit; returns
-    the reference's exits."""
-    rows, step, theta, side, v_end = _first_exits(v, z, u, a, drift, sdt, dt)
+    """The block pass (``_walk_block``'s path, then ``_first_exits``)
+    against the per-step reference, bit for bit; returns the reference's
+    exits."""
+    path, _near = _walk_block(v, np.ascontiguousarray(z.T), a, drift, sdt, dt)
+    rows, step, theta, side = _first_exits(v, path, u.transpose(0, 2, 1), a, dt)
     want_rows, want_steps, want_thetas, want_sides, want_v = reference_walk(v, z, u, a, drift, sdt, dt)
     order = np.argsort(want_rows)
     assert rows.tolist() == np.asarray(want_rows, dtype=int)[order].tolist()
@@ -346,7 +348,7 @@ def assert_walks_agree(v, z, u, a, drift, sdt, dt):
     assert theta.tolist() == np.asarray(want_thetas, dtype=float)[order].tolist()
     assert side.dtype == np.uint8 and side.tolist() == np.asarray(want_sides, dtype=int)[order].tolist()
     survivors = np.setdiff1d(np.arange(v.size), rows)
-    assert v_end[survivors].tolist() == want_v[survivors].tolist()
+    assert path[-1, survivors].tolist() == want_v[survivors].tolist()
     return dict(zip(want_rows, zip(want_steps, want_thetas, want_sides)))
 
 
@@ -354,12 +356,13 @@ def assert_walks_agree(v, z, u, a, drift, sdt, dt):
 @given(
     data=st.data(),
     m=st.integers(1, 5),
-    S=st.integers(1, 30),
+    S=st.integers(1, 60),
     a=st.floats(0.05, 2.0),
     dt=st.floats(1e-4, 0.5),
     drift=st.floats(-0.2, 0.2),
 )
 def test_block_walk_matches_per_step_reference(data, m, S, a, dt, drift):
+    # blocks of up to 60 steps take both of _walk_block's summation orders
     v = a * data.draw(hnp.arrays(float, m, elements=st.floats(-0.999, 0.999)))
     z = data.draw(hnp.arrays(float, (m, S), elements=st.floats(-6.0, 6.0)))
     u = data.draw(hnp.arrays(float, (2, m, S), elements=st.floats(0.0, 1.0, exclude_max=True)))
@@ -415,10 +418,8 @@ def test_walkers_left_out_of_the_bridge_tests_cannot_exit(data, m, S, a, dt, dri
     u = data.draw(hnp.arrays(float, (2, m, S), elements=st.floats(2.0**-53, 1.0, exclude_max=True)))
     sdt = math.sqrt(dt)
     path, near = _walk_block(v, np.ascontiguousarray(z.T), a, drift, sdt, dt)
-    rows, _step, _theta, _side, v_end = _first_exits(v, z, u, a, drift, sdt, dt)
+    rows, _step, _theta, _side = _first_exits(v, path, u.transpose(0, 2, 1), a, dt)
     assert near[rows].all()
-    # the walk carries path[-1] forward for every walker that stays in
-    assert path[-1].tolist() == v_end.tolist()
 
 
 # -- renewal-rate consequences -------------------------------------------------
