@@ -2,7 +2,13 @@
 
 A run file has four sections: ``model``, optional ``trigger`` (one dict
 applied to every sensor, or a list of per-sensor dicts), ``experiment``,
-and the scalars ``master_seed`` and ``output``.  Parsing is strict:
+and the scalars ``master_seed`` and ``output``.  The dataclasses are the
+schema.  The keys of an object are the init fields of ``ModelSpec``
+(``kind``, ``K`` and the kind's ``spec_fields`` only), ``TriggerConfig``,
+``ExperimentConfig`` (less ``model`` and ``master_seed``, which sit at
+the top level), the regime class its ``type`` names, and
+``PowerLawRule``.  A missing key takes the field's default, and each
+field's annotation picks the reader of its value.  Parsing is strict:
 unknown keys anywhere are rejected, and all violations are reported in
 one pass.  ``parse_config(serialize_config(cfg)) == cfg`` holds for
 every valid configuration.
@@ -10,45 +16,22 @@ every valid configuration.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
 
 from .errors import InvalidSpec, ParseError, ValidationError
-from .experiments import (
-    DiscreteSamplingRegime,
-    ExperimentConfig,
-    FixedHorizonRegime,
-    PowerLawRule,
-    SequentialRegime,
-)
-from .models import ModelKind, ModelSpec
-from .triggers import CONTINUOUS, TriggerConfig
+from .experiments import ExperimentConfig, Regime
+from .models import ModelKind, ModelSpec, spec_fields
+from .timefuncs import TimeFunction, as_timefunction
+from .triggers import TriggerConfig
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "config_hash"]
 
-_MODEL_KEYS_COMMON = {"kind", "K"}
-_MODEL_KEYS_BY_KIND = {
-    ModelKind.BROWNIAN_CONSTANT: {"x"},
-    ModelKind.GAUSSIAN_DET_INFO: {"b", "rho"},
-    ModelKind.ORNSTEIN_UHLENBECK: {"alpha"},
-    ModelKind.SQUARE_ROOT_DIFFUSION: {"x", "y0"},
-    ModelKind.CORRELATED_DIFFUSION: {"sigma"},
-}
-_TRIGGER_KEYS = {"delta_up", "delta_down", "c", "mode", "h"}
-_EXPERIMENT_KEYS = {
-    "lambda_true",
-    "regime",
-    "n_replications",
-    "estimators",
-    "grid_steps_per_unit",
-}
-_REGIME_KEYS = {
-    "fixed_horizon": {"type", "t_list", "delta_rule"},
-    "sequential": {"type", "gamma_list", "c_rule", "delta_rule", "initial_horizon"},
-    "discrete_sampling": {"type", "t", "delta_rule", "h_list"},
-}
-_RULE_KEYS = {"a", "b"}
 _TOP_KEYS = {"master_seed", "output", "model", "trigger", "experiment"}
+_REGIMES = {cls.kind: cls for cls in typing.get_args(Regime)}
 
 
 @dataclass(frozen=True)
@@ -61,75 +44,133 @@ class RunConfig:
     experiment: ExperimentConfig
 
 
-def _check_keys(d: dict, allowed: set, where: str, violations: list):
-    for key in d:
-        if key not in allowed:
-            violations.append(f"{where}: unknown key {key!r}")
+class _Rejected(Exception):
+    """An object that could not be read; its violations are listed."""
 
 
-def _rule_from(d, where, violations):
-    if not isinstance(d, dict):
-        violations.append(f"{where}: must be an object with keys a, b")
-        return None
-    _check_keys(d, _RULE_KEYS, where, violations)
-    try:
-        return PowerLawRule.from_dict(d)
-    except (KeyError, TypeError, ValueError, InvalidSpec) as exc:
-        violations.append(f"{where}: {exc}")
-        return None
+def _number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"must be a number, got {v!r}")
+    return float(v)
 
 
-def _regime_from(d, violations):
-    if not isinstance(d, dict) or "type" not in d:
-        violations.append("experiment.regime: must be an object with a 'type' key")
-        return None
-    rtype = d["type"]
-    if rtype not in _REGIME_KEYS:
-        violations.append(f"experiment.regime: unknown type {rtype!r}")
-        return None
-    _check_keys(d, _REGIME_KEYS[rtype], "experiment.regime", violations)
-    try:
-        if rtype == "fixed_horizon":
-            return FixedHorizonRegime(
-                t_list=tuple(float(t) for t in d["t_list"]),
-                delta_rule=_rule_from(d["delta_rule"], "experiment.regime.delta_rule", violations),
-            )
-        if rtype == "sequential":
-            return SequentialRegime(
-                gamma_list=tuple(float(g) for g in d["gamma_list"]),
-                c_rule=_rule_from(d["c_rule"], "experiment.regime.c_rule", violations),
-                delta_rule=_rule_from(d["delta_rule"], "experiment.regime.delta_rule", violations),
-                initial_horizon=float(d.get("initial_horizon", 1.0)),
-            )
-        return DiscreteSamplingRegime(
-            t=float(d["t"]),
-            delta_rule=_rule_from(d["delta_rule"], "experiment.regime.delta_rule", violations),
-            h_list=tuple(float(h) for h in d["h_list"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        violations.append(f"experiment.regime: {exc}")
-        return None
+def _int(v):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"must be an integer, got {v!r}")
+    return v
 
 
-def _trigger_from(d, where, violations):
+def _str(v):
+    if not isinstance(v, str):
+        raise TypeError(f"must be a string, got {v!r}")
+    return v
+
+
+def _items(v, read):
+    if not isinstance(v, list):
+        raise TypeError(f"must be a list, got {v!r}")
+    return tuple(read(x) for x in v)
+
+
+_READERS = {
+    float: _number,
+    int: _int,
+    str: _str,
+    ModelKind: ModelKind,
+    tuple[float, ...]: lambda v: _items(v, _number),
+    tuple[str, ...]: lambda v: _items(v, _str),
+    tuple[TimeFunction, ...]: lambda v: _items(v, as_timefunction),
+    tuple[tuple[TimeFunction, ...], ...]: lambda v: _items(v, lambda row: _items(row, as_timefunction)),
+}
+
+
+def _read(hint, v, where, violations):
+    """One value of the type ``hint``: a regime or rule is a nested object."""
+    if hint == Regime:
+        return _regime(v, where, violations)
+    if is_dataclass(hint):
+        return _object(hint, v, where, violations)
+    if type(None) in typing.get_args(hint):  # an optional field
+        return None if v is None else _read(typing.get_args(hint)[0], v, where, violations)
+    return _READERS[hint](v)
+
+
+def _object(cls, d, where, violations, keys=None, **given):
+    """``cls`` from the run-file object ``d``: one key per init field not
+    in ``given`` (or the fields named in ``keys``); a missing key takes
+    the field's default.  Lists each violation in ``violations`` and
+    raises ``_Rejected`` if ``cls`` cannot be built."""
     if not isinstance(d, dict):
         violations.append(f"{where}: must be an object")
-        return None
-    _check_keys(d, _TRIGGER_KEYS, where, violations)
+        raise _Rejected
+    if keys is None:
+        keys = [f.name for f in fields(cls) if f.init and f.name not in given]
+    violations += [f"{where}: unknown key {k!r}" for k in d if k not in keys]
+    hints, kwargs, ok = typing.get_type_hints(cls), dict(given), True
+    for f in fields(cls):
+        if f.name not in keys:
+            continue
+        if f.name not in d:
+            if f.default is MISSING:
+                violations.append(f"{where}: missing key {f.name!r}")
+                ok = False
+            continue
+        try:
+            kwargs[f.name] = _read(hints[f.name], d[f.name], f"{where}.{f.name}", violations)
+        except _Rejected:
+            ok = False
+        except KeyError as exc:  # a time-function table without one of its keys
+            violations.append(f"{where}.{f.name}: missing key {exc}")
+            ok = False
+        except (InvalidSpec, TypeError, ValueError) as exc:
+            violations.append(f"{where}.{f.name}: {exc}")
+            ok = False
+    if ok:
+        try:
+            return cls(**kwargs)
+        except InvalidSpec as exc:
+            violations.append(f"{where}: {exc}")
+    raise _Rejected
+
+
+def _regime(d, where, violations):
     try:
-        return TriggerConfig(
-            delta_up=float(d["delta_up"]),
-            delta_down=float(d["delta_down"]),
-            c=float(d["c"]) if d.get("c") is not None else None,
-            mode=d.get("mode", CONTINUOUS),
-            h=float(d["h"]) if d.get("h") is not None else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        violations.append(f"{where}: {exc}")
+        cls = _REGIMES[d["type"]]
+    except (KeyError, TypeError):
+        violations.append(f"{where}: must be an object whose type is one of {list(_REGIMES)}")
+        raise _Rejected
+    return _object(cls, {k: v for k, v in d.items() if k != "type"}, where, violations)
+
+
+def _model(d, violations):
+    try:
+        keys = ("kind", "K") + spec_fields(d["kind"])
+    except (KeyError, TypeError, ValueError):
+        kinds = [k.value for k in ModelKind]
+        violations.append(f"model: must be an object whose kind is one of {kinds}")
+        raise _Rejected
+    return _object(ModelSpec, d, "model", violations, keys=keys)
+
+
+def _unless_rejected(read, *args, **kwargs):
+    try:
+        return read(*args, **kwargs)
+    except _Rejected:
         return None
-    except InvalidSpec as exc:
-        violations.append(f"{where}: {exc}")
+
+
+def _triggers(d, model, violations):
+    if isinstance(d, dict):
+        tc = _unless_rejected(_object, TriggerConfig, d, "trigger", violations)
+        return None if model is None else (tc,) * model.K
+    if not isinstance(d, list):
+        violations.append("trigger: must be an object or a list of objects")
         return None
+    items = tuple(_unless_rejected(_object, TriggerConfig, item, f"trigger[{k}]", violations)
+                  for k, item in enumerate(d))
+    if model is not None and len(items) != model.K:
+        violations.append(f"trigger: need K={model.K} entries, got {len(items)}")
+    return items
 
 
 def parse_config(text: str) -> RunConfig:
@@ -145,125 +186,56 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValidationError(["top level: must be a JSON object"])
 
-    violations = []
-    _check_keys(doc, _TOP_KEYS, "top level", violations)
-    for req in ("master_seed", "output", "model", "experiment"):
-        if req not in doc:
-            violations.append(f"top level: missing required section {req!r}")
-    if violations and any("missing required" in v for v in violations):
-        raise ValidationError(violations)
+    violations = [f"top level: unknown key {k!r}" for k in doc if k not in _TOP_KEYS]
+    missing = [f"top level: missing required section {k!r}"
+               for k in ("master_seed", "output", "model", "experiment") if k not in doc]
+    if missing:
+        raise ValidationError(violations + missing)
 
-    master_seed = doc["master_seed"]
-    if not isinstance(master_seed, int):
+    master_seed, output = doc["master_seed"], doc["output"]
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
         violations.append("master_seed: must be an integer")
-    output = doc["output"]
     if not isinstance(output, str) or not output:
         violations.append("output: must be a non-empty path string")
-
-    model = None
-    mdoc = doc["model"]
-    if not isinstance(mdoc, dict):
-        violations.append("model: must be an object")
-    else:
-        try:
-            kind = ModelKind(mdoc.get("kind"))
-            _check_keys(mdoc, _MODEL_KEYS_COMMON | _MODEL_KEYS_BY_KIND[kind], "model", violations)
-        except ValueError:
-            violations.append(f"model.kind: unknown kind {mdoc.get('kind')!r}")
-        try:
-            model = ModelSpec.from_dict(mdoc)
-        except (InvalidSpec, KeyError, TypeError, ValueError) as exc:
-            violations.append(f"model: {exc}")
-
-    triggers = None
-    if "trigger" in doc:
-        tdoc = doc["trigger"]
-        if isinstance(tdoc, dict):
-            tc = _trigger_from(tdoc, "trigger", violations)
-            if tc is not None and model is not None:
-                triggers = tuple(tc for _ in range(model.K))
-        elif isinstance(tdoc, list):
-            items = [
-                _trigger_from(item, f"trigger[{k}]", violations) for k, item in enumerate(tdoc)
-            ]
-            if model is not None and len(items) != model.K:
-                violations.append(f"trigger: need K={model.K} entries, got {len(items)}")
-            elif all(item is not None for item in items):
-                triggers = tuple(items)
-        else:
-            violations.append("trigger: must be an object or a list of objects")
-
-    experiment = None
-    edoc = doc["experiment"]
-    if not isinstance(edoc, dict):
-        violations.append("experiment: must be an object")
-    else:
-        _check_keys(edoc, _EXPERIMENT_KEYS, "experiment", violations)
-        regime = _regime_from(edoc.get("regime"), violations)
-        if model is not None and regime is not None and not violations:
-            try:
-                experiment = ExperimentConfig(
-                    model=model,
-                    lambda_true=float(edoc["lambda_true"]),
-                    regime=regime,
-                    n_replications=int(edoc["n_replications"]),
-                    master_seed=int(master_seed),
-                    estimators=tuple(edoc["estimators"]),
-                    grid_steps_per_unit=float(edoc.get("grid_steps_per_unit", 32.0)),
-                )
-            except (KeyError, TypeError, ValueError, InvalidSpec) as exc:
-                violations.append(f"experiment: {exc}")
-
+    model = _unless_rejected(_model, doc["model"], violations)
+    triggers = _triggers(doc["trigger"], model, violations) if "trigger" in doc else None
+    experiment = _unless_rejected(_object, ExperimentConfig, doc["experiment"], "experiment",
+                                  violations, model=model, master_seed=master_seed)
     if violations:
         raise ValidationError(violations)
     return RunConfig(output=output, triggers=triggers, experiment=experiment)
 
 
+def _doc(v):
+    """The run-file form of a value: a dataclass is an object of its init
+    fields, a regime adds its ``type``, a tuple is a list."""
+    if isinstance(v, TimeFunction):
+        return v.to_dict()
+    if is_dataclass(v):
+        d = {f.name: _doc(getattr(v, f.name)) for f in fields(v) if f.init}
+        if isinstance(v, Regime):
+            d["type"] = v.kind
+        return d
+    if isinstance(v, tuple):
+        return [_doc(x) for x in v]
+    return v.value if isinstance(v, Enum) else v
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Lossless plain-text form of a run configuration."""
-    exp = cfg.experiment
-    regime = exp.regime
-    rdoc = {"type": regime.kind}
-    if regime.kind == "fixed_horizon":
-        rdoc["t_list"] = list(regime.t_list)
-        rdoc["delta_rule"] = regime.delta_rule.to_dict()
-    elif regime.kind == "sequential":
-        rdoc["gamma_list"] = list(regime.gamma_list)
-        rdoc["c_rule"] = regime.c_rule.to_dict()
-        rdoc["delta_rule"] = regime.delta_rule.to_dict()
-        rdoc["initial_horizon"] = regime.initial_horizon
-    else:
-        rdoc["t"] = regime.t
-        rdoc["delta_rule"] = regime.delta_rule.to_dict()
-        rdoc["h_list"] = list(regime.h_list)
+    """Lossless plain-text form of a run configuration; the model section
+    leaves out the fields that are None."""
+    experiment = _doc(cfg.experiment)
     doc = {
-        "master_seed": exp.master_seed,
+        "master_seed": experiment.pop("master_seed"),
         "output": cfg.output,
-        "model": exp.model.to_dict(),
-        "experiment": {
-            "lambda_true": exp.lambda_true,
-            "regime": rdoc,
-            "n_replications": exp.n_replications,
-            "estimators": list(exp.estimators),
-            "grid_steps_per_unit": exp.grid_steps_per_unit,
-        },
+        "model": {k: v for k, v in experiment.pop("model").items() if v is not None},
+        "experiment": experiment,
     }
     if cfg.triggers is not None:
-        doc["trigger"] = [
-            {
-                "delta_up": t.delta_up,
-                "delta_down": t.delta_down,
-                "c": t.c,
-                "mode": t.mode,
-                "h": t.h,
-            }
-            for t in cfg.triggers
-        ]
+        doc["trigger"] = _doc(cfg.triggers)
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def config_hash(cfg: RunConfig) -> str:
     """Short stable digest used in output file names."""
-    import hashlib
-
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:10]

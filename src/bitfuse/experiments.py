@@ -45,6 +45,7 @@ __all__ = [
     "FixedHorizonRegime",
     "SequentialRegime",
     "DiscreteSamplingRegime",
+    "Regime",
     "ExperimentConfig",
     "ReplicationRow",
     "PointAggregate",
@@ -75,19 +76,19 @@ class PowerLawRule:
     def __call__(self, u: float) -> float:
         return self.a * float(u) ** self.b
 
-    def to_dict(self):
-        return {"a": self.a, "b": self.b}
-
-    @staticmethod
-    def from_dict(d):
-        return PowerLawRule(a=float(d["a"]), b=float(d["b"]))
-
 
 def _trigger_configs(model: Model, delta: float, c: float | None = None,
                      mode: str = CONTINUOUS, h: float | None = None):
-    cfg = TriggerConfig(delta_up=delta, delta_down=delta, c=c if model.sends_timing else None,
+    cfg = TriggerConfig(delta_up=delta, delta_down=delta, c=None if model.deterministic_info else c,
                         mode=mode, h=h)
     return (cfg,) * model.K
+
+
+def _check_points(name, values):
+    """Reject an empty point list, or a point, horizon or sampling period
+    that is not finite and positive."""
+    if not values or not all(0 < v < math.inf for v in values):
+        raise InvalidSpec(f"{name}: need finite positive values, got {list(values)}")
 
 
 _FIXED_ESTIMATORS = (CENTRALIZED_FIXED, DECENTRALIZED_FIXED, TIMING_ONLY)
@@ -99,10 +100,13 @@ class FixedHorizonRegime:
     ``delta_rule(t)``.  Accepts the fixed-horizon estimators only; an
     ``ExperimentConfig`` naming another one is rejected at construction."""
 
-    t_list: tuple
+    t_list: tuple[float, ...]
     delta_rule: PowerLawRule
     kind: str = field(default="fixed_horizon", init=False)
     estimators = _FIXED_ESTIMATORS
+
+    def __post_init__(self):
+        _check_points("t_list", self.t_list)
 
     def points(self):
         return tuple(float(t) for t in self.t_list)
@@ -122,12 +126,16 @@ class SequentialRegime:
     Accepts the sequential estimators only; an ``ExperimentConfig``
     naming another one is rejected at construction."""
 
-    gamma_list: tuple
+    gamma_list: tuple[float, ...]
     c_rule: PowerLawRule
     delta_rule: PowerLawRule
     initial_horizon: float = 1.0
     kind: str = field(default="sequential", init=False)
     estimators = (CENTRALIZED_SEQUENTIAL, DECENTRALIZED_SEQUENTIAL)
+
+    def __post_init__(self):
+        _check_points("gamma_list", self.gamma_list)
+        _check_points("initial_horizon", (self.initial_horizon,))
 
     def points(self):
         return tuple(float(g) for g in self.gamma_list)
@@ -149,9 +157,13 @@ class DiscreteSamplingRegime:
 
     t: float
     delta_rule: PowerLawRule
-    h_list: tuple
+    h_list: tuple[float, ...]
     kind: str = field(default="discrete_sampling", init=False)
     estimators = _FIXED_ESTIMATORS
+
+    def __post_init__(self):
+        _check_points("t", (self.t,))
+        _check_points("h_list", self.h_list)
 
     def points(self):
         return tuple(float(h) for h in self.h_list)
@@ -163,27 +175,30 @@ class DiscreteSamplingRegime:
         return _trigger_configs(model, self.delta_rule(self.t), mode=DISCRETE, h=point)
 
 
+Regime = FixedHorizonRegime | SequentialRegime | DiscreteSamplingRegime
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A replication study.  Construction rejects (``InvalidSpec``) fewer
-    than 2 replications, a non-positive grid refinement, unknown
-    estimators or none, estimators the regime does not accept, and
-    sampling periods that are not a whole number of steps of the
-    horizon's grid (``TimeGrid.stride``)."""
+    than 2 replications, a grid refinement that is not finite and
+    positive, unknown estimators or none, estimators the regime does not
+    accept, and sampling periods that are not a whole number of steps of
+    the horizon's grid (``TimeGrid.stride``)."""
 
     model: ModelSpec
     lambda_true: float
-    regime: object
+    regime: Regime
     n_replications: int
     master_seed: int
-    estimators: tuple
+    estimators: tuple[str, ...]
     grid_steps_per_unit: float = 32.0
 
     def __post_init__(self):
         if self.n_replications < 2:
             raise InvalidSpec("need at least 2 replications")
-        if not self.grid_steps_per_unit > 0:
-            raise InvalidSpec("grid refinement must be positive")
+        if not 0 < self.grid_steps_per_unit < math.inf:
+            raise InvalidSpec("grid refinement must be finite and positive")
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad:
             raise InvalidSpec(f"unknown estimators: {bad}")

@@ -128,7 +128,7 @@ class FusionState:
         timing messages, ``UnsupportedModel`` when the information is
         random but the thresholds carry no timing increment (a
         fixed-horizon log of a random-information model)."""
-        if not self.model.sends_timing:
+        if self.model.deterministic_info:
             return 0.0
         if any(cfg.c is None for cfg in self.cfgs):
             raise UnsupportedModel("information is random but the log has no timing increment c")

@@ -10,7 +10,10 @@ weight process X_i; the running statistics of interest are
   sensors, the pairs in ``Model.cross_pairs``.
 
 The estimators are ratios of B and A.  The model kind decides which
-information is random (see ``ModelSpec``).  Deterministic A is the
+information is random (see ``ModelSpec``), and its class declares, in
+``spec_fields``, the only ``ModelSpec`` fields it reads: the run-file
+parser takes them as the model section's keys, and ``build_model``
+rejects a spec that sets any other.  Deterministic A is the
 closed form ``Model.det_info``, the number the fusion center divides by;
 with random information the fusion center uses tA = sum_i (1 + d_i) tA_i.
 
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import reduce
 
@@ -61,6 +64,7 @@ __all__ = [
     "PathStats",
     "Model",
     "build_model",
+    "spec_fields",
     "simulate_paths",
     "path_statistics",
 ]
@@ -130,7 +134,9 @@ def _matrix_stack(fns, times):
 class ModelSpec:
     """Declarative description of a K-sensor system.
 
-    Which optional fields are meaningful depends on ``kind``:
+    Besides ``kind`` and ``K``, each kind reads the fields its model
+    class names in ``spec_fields``; ``build_model`` rejects a spec that
+    sets any other field.
 
     * brownian_constant: ``x`` (nonzero weights); sensors are independent
       unit-variance noise plus drift lam*x_i*t.
@@ -155,46 +161,12 @@ class ModelSpec:
 
     kind: ModelKind
     K: int
-    x: tuple = None
-    b: tuple = None
-    rho: tuple = None
-    alpha: tuple = None
-    sigma: tuple = None
-    y0: tuple = None
-
-    def to_dict(self) -> dict:
-        d = {"kind": ModelKind(self.kind).value, "K": self.K}
-        if self.x is not None:
-            d["x"] = list(self.x)
-        if self.b is not None:
-            d["b"] = [f.to_dict() for f in self.b]
-        if self.rho is not None:
-            d["rho"] = [[f.to_dict() for f in row] for row in self.rho]
-        if self.alpha is not None:
-            d["alpha"] = list(self.alpha)
-        if self.sigma is not None:
-            d["sigma"] = [[f.to_dict() for f in row] for row in self.sigma]
-        if self.y0 is not None:
-            d["y0"] = list(self.y0)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        try:
-            kind = ModelKind(d["kind"])
-        except (KeyError, ValueError):
-            raise InvalidSpec(f"unknown model kind: {d.get('kind')!r}")
-        tf = as_timefunction
-        return ModelSpec(
-            kind=kind,
-            K=int(d["K"]),
-            x=tuple(float(v) for v in d["x"]) if "x" in d else None,
-            b=tuple(tf(v) for v in d["b"]) if "b" in d else None,
-            rho=tuple(tuple(tf(v) for v in row) for row in d["rho"]) if "rho" in d else None,
-            alpha=tuple(float(v) for v in d["alpha"]) if "alpha" in d else None,
-            sigma=tuple(tuple(tf(v) for v in row) for row in d["sigma"]) if "sigma" in d else None,
-            y0=tuple(float(v) for v in d["y0"]) if "y0" in d else None,
-        )
+    x: tuple[float, ...] | None = None
+    b: tuple[TimeFunction, ...] | None = None
+    rho: tuple[tuple[TimeFunction, ...], ...] | None = None
+    alpha: tuple[float, ...] | None = None
+    sigma: tuple[tuple[TimeFunction, ...], ...] | None = None
+    y0: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -208,7 +180,6 @@ class SensorPaths:
     grid: TimeGrid
     Y: np.ndarray
     lambda_true: float
-    seed: int
 
     def __post_init__(self):
         self.Y.flags.writeable = False
@@ -258,6 +229,7 @@ class Model:
 
     kind: ModelKind
     deterministic_info: bool
+    spec_fields: tuple  # the ModelSpec fields the kind reads besides kind and K
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
@@ -274,11 +246,6 @@ class Model:
         if not self.deterministic_info:
             for i, _ in self.cross_pairs:
                 self.d_counts[i] += 1
-
-    @property
-    def sends_timing(self) -> bool:
-        """Whether sensors send timing messages: only when information is random."""
-        return not self.deterministic_info
 
     def _setup(self, spec: ModelSpec):
         raise NotImplementedError
@@ -319,6 +286,7 @@ class Model:
 class _BrownianConstantModel(Model):
     kind = ModelKind.BROWNIAN_CONSTANT
     deterministic_info = True
+    spec_fields = ("x",)
 
     def _setup(self, spec):
         if spec.x is None or len(spec.x) != spec.K:
@@ -355,6 +323,7 @@ class _BrownianConstantModel(Model):
 class _GaussianDetInfoModel(Model):
     kind = ModelKind.GAUSSIAN_DET_INFO
     deterministic_info = True
+    spec_fields = ("b", "rho")
 
     def _setup(self, spec):
         if spec.b is None or len(spec.b) != spec.K:
@@ -429,6 +398,7 @@ class _GaussianDetInfoModel(Model):
 class _OrnsteinUhlenbeckModel(Model):
     kind = ModelKind.ORNSTEIN_UHLENBECK
     deterministic_info = False
+    spec_fields = ("alpha",)
 
     def _setup(self, spec):
         if spec.alpha is None or len(spec.alpha) != spec.K:
@@ -458,6 +428,7 @@ class _OrnsteinUhlenbeckModel(Model):
 class _SquareRootDiffusionModel(Model):
     kind = ModelKind.SQUARE_ROOT_DIFFUSION
     deterministic_info = False
+    spec_fields = ("x", "y0")
 
     def _setup(self, spec):
         if spec.x is None or len(spec.x) != spec.K:
@@ -552,6 +523,7 @@ class _CorrelatedDiffusionModel(Model):
 
     kind = ModelKind.CORRELATED_DIFFUSION
     deterministic_info = False
+    spec_fields = ("sigma",)
 
     def _setup(self, spec):
         self.sigma = _as_matrix_of_timefunctions(spec.sigma, spec.K, "sigma")
@@ -596,16 +568,26 @@ _MODEL_CLASSES = {
 }
 
 
+def spec_fields(kind) -> tuple:
+    """The ModelSpec fields a model kind reads besides ``kind`` and ``K``."""
+    return _MODEL_CLASSES[ModelKind(kind)].spec_fields
+
+
 def build_model(spec: ModelSpec) -> Model:
     """Validate a spec and return a model with coefficient evaluators.
 
-    Raises InvalidSpec on zero weights, malformed coefficient tables, or
-    a non-positive-semidefinite correlation table.
+    Raises InvalidSpec on a field the kind does not read, zero weights,
+    malformed coefficient tables, or a non-positive-semidefinite
+    correlation table.
     """
     if spec.K < 1:
         raise InvalidSpec("K must be at least 1")
-    kind = ModelKind(spec.kind)
-    return _MODEL_CLASSES[kind](spec)
+    cls = _MODEL_CLASSES[ModelKind(spec.kind)]
+    reads = ("kind", "K") + cls.spec_fields
+    foreign = [f.name for f in fields(spec) if f.name not in reads and getattr(spec, f.name) is not None]
+    if foreign:
+        raise InvalidSpec(f"{cls.kind.value} does not read {', '.join(foreign)}")
+    return cls(spec)
 
 
 def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed) -> SensorPaths:
@@ -623,7 +605,7 @@ def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed) -> SensorPath
         raise NumericalBlowup(
             f"path magnitude exceeded {_BLOWUP_CAP:g}; refine the grid or shorten the horizon"
         )
-    return SensorPaths(grid=grid, Y=Y, lambda_true=float(lam), seed=seed)
+    return SensorPaths(grid=grid, Y=Y, lambda_true=float(lam))
 
 
 def path_statistics(paths: SensorPaths, model: Model) -> PathStats:

@@ -9,10 +9,11 @@ decimal separator, no locale.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .experiments import ExperimentReport
+from .experiments import ExperimentReport, ReplicationRow
 from .models import PathStats, SensorPaths
 from .triggers import MessageLog
 
@@ -28,8 +29,12 @@ __all__ = [
 
 
 def fmt(v) -> str:
+    """One CSV field: None is empty, a bool 1 or 0, a string has its
+    commas made semicolons, a real has 17 significant digits."""
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v.replace(",", ";")
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -37,77 +42,23 @@ def fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-ROW_COLUMNS = (
-    "point",
-    "rep",
-    "estimator",
-    "ok",
-    "value",
-    "error",
-    "std_error",
-    "stop_time",
-    "info_used",
-    "a_at_stop",
-    "messages_used",
-    "b_messages",
-    "a_messages",
-    "eta_sum",
-    "horizon",
-    "fail_reason",
-)
-
-
 def rows_csv_text(report: ExperimentReport) -> str:
-    lines = [",".join(ROW_COLUMNS)]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    fmt(r.point),
-                    str(r.rep),
-                    r.estimator,
-                    fmt(r.ok),
-                    fmt(r.value),
-                    fmt(r.error),
-                    fmt(r.std_error),
-                    fmt(r.stop_time),
-                    fmt(r.info_used),
-                    fmt(r.a_at_stop),
-                    str(r.messages_used),
-                    str(r.b_messages),
-                    str(r.a_messages),
-                    fmt(r.eta_sum),
-                    fmt(r.horizon),
-                    r.fail_reason.replace(",", ";"),
-                )
-            )
-        )
+    """One line per ``ReplicationRow``, its fields in declaration order."""
+    names = [f.name for f in fields(ReplicationRow)]
+    lines = [",".join(names)]
+    lines += [",".join(fmt(getattr(r, name)) for name in names) for r in report.rows]
     return "\n".join(lines) + "\n"
 
 
 def summary_json_text(report: ExperimentReport, config_hash: str = "") -> str:
+    """The run's seed and size, its warnings, and one object per
+    ``PointAggregate`` keyed by its fields."""
     doc = {
         "config_hash": config_hash,
         "master_seed": report.config.master_seed,
         "n_replications": report.config.n_replications,
         "warnings": list(report.warnings),
-        "aggregates": [
-            {
-                "point": a.point,
-                "estimator": a.estimator,
-                "n_ok": a.n_ok,
-                "n_failed": a.n_failed,
-                "mean": a.mean,
-                "variance": a.variance,
-                "bias": a.bias,
-                "std_variance": a.std_variance,
-                "ks_D": a.ks_D,
-                "ks_p": a.ks_p,
-                "mean_messages_per_unit_time": a.mean_messages_per_unit_time,
-                "failures": list(a.failures),
-            }
-            for a in report.aggregates
-        ],
+        "aggregates": [asdict(a) for a in report.aggregates],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -356,9 +356,9 @@ def run_triggers(stats: PathStats, model: Model, cfgs) -> MessageLog:
     if len(cfgs) != model.K:
         raise InvalidSpec("need one trigger config per sensor")
     for cfg in cfgs:
-        if model.sends_timing and cfg.c is None:
+        if not model.deterministic_info and cfg.c is None:
             raise InvalidSpec("information is random; timing increment c is required")
-        if not model.sends_timing and cfg.c is not None:
+        if model.deterministic_info and cfg.c is not None:
             raise InvalidSpec("information is deterministic; c must be None")
     b_logs, a_logs = [], []
     for i in range(model.K):

@@ -294,7 +294,7 @@ def test_pathwise_bounds_and_information_sandwich(spec, lam, n, t_end, delta_up,
     model = build_model(spec)
     grid = TimeGrid(t_end, n)
     stats = path_statistics(simulate_paths(model, lam, grid, seed=seed), model)
-    c_i = c if model.sends_timing else None
+    c_i = None if model.deterministic_info else c
     cfgs = tuple(TriggerConfig(delta_up=delta_up, delta_down=delta_down, c=c_i) for _ in range(model.K))
     log = run_triggers(stats, model, cfgs)
     state = reconstruct(log, model)

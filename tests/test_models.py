@@ -198,7 +198,7 @@ def test_statistics_blowup_detection():
         (gauss, TimeGrid(1e13, 2), ((0.0, 1.0, 2.0), (0.0, -1.0, 0.0)), "A_i"),
     ):
         Y = np.array(y, ndmin=2)
-        p = SensorPaths(grid=grid, Y=Y, lambda_true=0.1, seed=0)
+        p = SensorPaths(grid=grid, Y=Y, lambda_true=0.1)
         with pytest.raises(NumericalBlowup, match=what):
             path_statistics(p, m)
 
@@ -226,7 +226,7 @@ def test_zero_path_gives_zero_integral_and_score_identity():
     m = brownian(K=2, x=(1.0, 2.0))
     grid = TimeGrid(1.0, 50)
     Y = np.zeros((2, 51))
-    p = SensorPaths(grid=grid, Y=Y, lambda_true=0.7, seed=0)
+    p = SensorPaths(grid=grid, Y=Y, lambda_true=0.7)
     s = path_statistics(p, m)
     assert np.all(s.B == 0.0)
     # B = 0, so the score B - lam A is -lam A, with A the closed form
@@ -236,7 +236,7 @@ def test_zero_path_gives_zero_integral_and_score_identity():
 def test_grid_mismatch_raises():
     m = brownian(K=2, x=(1.0, 2.0))
     p = simulate_paths(m, 0.1, TimeGrid(1.0, 50), seed=1)
-    q = SensorPaths(grid=TimeGrid(1.0, 50), Y=np.zeros((2, 50)), lambda_true=0.1, seed=1)
+    q = SensorPaths(grid=TimeGrid(1.0, 50), Y=np.zeros((2, 50)), lambda_true=0.1)
     with pytest.raises(GridMismatch):
         path_statistics(q, m)
     del p
@@ -609,3 +609,26 @@ def test_correlated_blowup_detection():
         simulate_paths(m, 0.3, TimeGrid(200.0, 40_000), seed=1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalBlowup):
         simulate_paths(m, 0.3, TimeGrid(2000.0, 40_000), seed=1)
+
+
+FOREIGN_FIELDS = {
+    ModelKind.BROWNIAN_CONSTANT: (dict(x=(1.0, 2.0)), dict(alpha=(1.0, 1.0))),
+    ModelKind.GAUSSIAN_DET_INFO: (
+        dict(b=(CONST(1.0),) * 2, rho=((CONST(1.0), CONST(0.0)), (CONST(0.0), CONST(1.0)))),
+        dict(x=(1.0, 1.0)),
+    ),
+    ModelKind.ORNSTEIN_UHLENBECK: (dict(alpha=(1.0, 0.5)), dict(y0=(1.0, 1.0))),
+    ModelKind.SQUARE_ROOT_DIFFUSION: (dict(x=(1.0, 2.0), y0=(1.0, 1.0)), dict(rho=((CONST(1.0),) * 2,) * 2)),
+    ModelKind.CORRELATED_DIFFUSION: (
+        dict(sigma=((CONST(1.0), CONST(0.0)), (CONST(0.5), CONST(1.0)))),
+        dict(x=(1.0, 1.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(FOREIGN_FIELDS))
+def test_build_model_rejects_fields_its_kind_does_not_read(kind):
+    reads, foreign = FOREIGN_FIELDS[kind]
+    build_model(ModelSpec(kind=kind, K=2, **reads))
+    with pytest.raises(InvalidSpec, match=next(iter(foreign))):
+        build_model(ModelSpec(kind=kind, K=2, **reads, **foreign))
