@@ -9,9 +9,10 @@ schema.  The keys of an object are the init fields of ``ModelSpec``
 the top level), the regime class its ``type`` names, and
 ``PowerLawRule``.  A missing key takes the field's default, and each
 field's annotation picks the reader of its value.  Parsing is strict:
-unknown keys anywhere are rejected, and all violations are reported in
-one pass.  ``parse_config(serialize_config(cfg)) == cfg`` holds for
-every valid configuration.
+unknown keys anywhere are rejected, the model section must build a
+model (``build_model``), and all violations are reported in one pass.
+``parse_config(serialize_config(cfg)) == cfg`` holds for every valid
+configuration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 
 from .errors import InvalidSpec, ParseError, ValidationError
 from .experiments import ExperimentConfig, Regime
-from .models import ModelKind, ModelSpec, spec_fields
+from .models import ModelKind, ModelSpec, build_model, spec_fields
 from .timefuncs import TimeFunction, as_timefunction
 from .triggers import TriggerConfig
 
@@ -149,7 +150,13 @@ def _model(d, violations):
         kinds = [k.value for k in ModelKind]
         violations.append(f"model: must be an object whose kind is one of {kinds}")
         raise _Rejected
-    return _object(ModelSpec, d, "model", violations, keys=keys)
+    spec = _object(ModelSpec, d, "model", violations, keys=keys)
+    try:
+        build_model(spec)
+    except InvalidSpec as exc:
+        violations.append(f"model: {exc}")
+        raise _Rejected
+    return spec
 
 
 def _unless_rejected(read, *args, **kwargs):

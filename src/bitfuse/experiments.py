@@ -70,8 +70,10 @@ class PowerLawRule:
     b: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise InvalidSpec("rule prefactor must be positive")
+        if not 0 < self.a < math.inf:
+            raise InvalidSpec(f"rule prefactor a must be finite and positive, got {self.a}")
+        if not math.isfinite(self.b):
+            raise InvalidSpec(f"rule exponent b must be finite, got {self.b}")
 
     def __call__(self, u: float) -> float:
         return self.a * float(u) ** self.b
@@ -180,11 +182,12 @@ Regime = FixedHorizonRegime | SequentialRegime | DiscreteSamplingRegime
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A replication study.  Construction rejects (``InvalidSpec``) fewer
-    than 2 replications, a grid refinement that is not finite and
-    positive, unknown estimators or none, estimators the regime does not
-    accept, and sampling periods that are not a whole number of steps of
-    the horizon's grid (``TimeGrid.stride``)."""
+    """A replication study.  Construction rejects (``InvalidSpec``) a
+    lambda_true that is not finite, fewer than 2 replications, a grid
+    refinement that is not finite and positive, unknown estimators or
+    none, estimators the regime does not accept, and sampling periods
+    that are not a whole number of steps of the horizon's grid
+    (``TimeGrid.stride``)."""
 
     model: ModelSpec
     lambda_true: float
@@ -195,6 +198,8 @@ class ExperimentConfig:
     grid_steps_per_unit: float = 32.0
 
     def __post_init__(self):
+        if not math.isfinite(self.lambda_true):
+            raise InvalidSpec(f"lambda_true must be finite, got {self.lambda_true}")
         if self.n_replications < 2:
             raise InvalidSpec("need at least 2 replications")
         if not 0 < self.grid_steps_per_unit < math.inf:

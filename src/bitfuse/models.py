@@ -19,7 +19,9 @@ with random information the fusion center uses tA = sum_i (1 + d_i) tA_i.
 
 Paths are simulated with Euler-Maruyama on a uniform grid.  Where the
 scheme is linear in the path there is no loop over time steps: the OU
-recursion runs as an IIR filter, and the correlated diffusion's
+recursion runs as an IIR filter (scipy's ``lfilter``, imported on the
+first OU simulation rather than with this module, since
+``scipy.signal`` loads much of scipy), and the correlated diffusion's
 y_{k+1} = (I + lam dt sigma sigma^T(t_k)) y_k + sqrt(dt) sigma(t_k) z_k
 is solved in blocks of about sqrt(n) steps (``_linear_recursion``), about
 3 sqrt(n) Python iterations in all and no copy of the K x K stacks.  The
@@ -51,7 +53,6 @@ from enum import Enum
 from functools import reduce
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import GridMismatch, InvalidSpec, NumericalBlowup
 from .timefuncs import TimeFunction, as_timefunction
@@ -291,8 +292,8 @@ class _BrownianConstantModel(Model):
     def _setup(self, spec):
         if spec.x is None or len(spec.x) != spec.K:
             raise InvalidSpec("brownian_constant requires K weights x")
-        if any(v == 0 for v in spec.x):
-            raise InvalidSpec("weights x must be nonzero")
+        if not all(math.isfinite(v) and v != 0 for v in spec.x):
+            raise InvalidSpec(f"weights x must be finite and nonzero, got {list(spec.x)}")
         self.x = np.asarray(spec.x, dtype=float)
 
     def simulate(self, lam, grid, rng):
@@ -403,11 +404,15 @@ class _OrnsteinUhlenbeckModel(Model):
     def _setup(self, spec):
         if spec.alpha is None or len(spec.alpha) != spec.K:
             raise InvalidSpec("ornstein_uhlenbeck requires K positive constants alpha")
-        if any(a <= 0 for a in spec.alpha):
-            raise InvalidSpec("alpha must be positive")
+        if not all(0 < a < math.inf for a in spec.alpha):
+            raise InvalidSpec(f"alpha must be finite and positive, got {list(spec.alpha)}")
         self.alpha = np.asarray(spec.alpha, dtype=float)
 
     def simulate(self, lam, grid, rng):
+        # imported here, not at module level: scipy.signal pulls in
+        # scipy.stats, interpolate and optimize, which nothing else runs
+        from scipy.signal import lfilter
+
         dt = grid.dt
         noise = rng.standard_normal((self.K, grid.n_steps))
         Y = np.zeros((self.K, grid.n_steps + 1))
@@ -433,12 +438,12 @@ class _SquareRootDiffusionModel(Model):
     def _setup(self, spec):
         if spec.x is None or len(spec.x) != spec.K:
             raise InvalidSpec("square_root_diffusion requires K weights x")
-        if any(v == 0 for v in spec.x):
-            raise InvalidSpec("weights x must be nonzero")
+        if not all(math.isfinite(v) and v != 0 for v in spec.x):
+            raise InvalidSpec(f"weights x must be finite and nonzero, got {list(spec.x)}")
         self.x = np.asarray(spec.x, dtype=float)
         y0 = spec.y0 if spec.y0 is not None else tuple(1.0 for _ in range(spec.K))
-        if len(y0) != spec.K or any(v < 0 for v in y0):
-            raise InvalidSpec("y0 must give K nonnegative start values")
+        if len(y0) != spec.K or not all(0 <= v < math.inf for v in y0):
+            raise InvalidSpec(f"y0 must give K finite nonnegative start values, got {list(y0)}")
         self.y0 = np.asarray(y0, dtype=float)
 
     def simulate(self, lam, grid, rng):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BitfuseError
 from .experiments import (
@@ -323,6 +322,9 @@ def suite_first_passage(threads: int = 1) -> SuiteResult:
     """Exit-time density pair: total mass 1 within 1e-5 across the
     parameter sweep, and KS agreement between 10^5 simulated exit times
     and the integrated density."""
+    # imported here, not at module level: only this suite runs quad
+    from scipy import integrate
+
     ck = _Checks()
     worst = 0.0
     for lam in (0.0, 1.0, 2.0):

@@ -24,6 +24,7 @@ sampled value, and the unobserved overshoot is recorded for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +64,14 @@ class TriggerConfig:
     h: float | None = None
 
     def __post_init__(self):
-        if not (self.delta_up > 0 and self.delta_down > 0):
-            raise InvalidSpec("trigger thresholds must be strictly positive")
-        if self.c is not None and not self.c > 0:
-            raise InvalidSpec("information increment c must be positive or None")
+        if not (0 < self.delta_up < math.inf and 0 < self.delta_down < math.inf):
+            raise InvalidSpec("trigger thresholds must be finite and strictly positive")
+        if self.c is not None and not 0 < self.c < math.inf:
+            raise InvalidSpec("information increment c must be finite and positive, or None")
         if self.mode not in TriggerMode:
             raise InvalidSpec(f"unknown trigger mode {self.mode!r}")
-        if self.mode == DISCRETE and (self.h is None or not self.h > 0):
-            raise InvalidSpec("discrete mode requires a positive sampling period h")
+        if self.mode == DISCRETE and (self.h is None or not 0 < self.h < math.inf):
+            raise InvalidSpec("discrete mode requires a finite positive sampling period h")
         if self.mode == CONTINUOUS and self.h is not None:
             raise InvalidSpec("sampling period h is meaningful only in discrete mode")
 

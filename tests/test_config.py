@@ -260,6 +260,46 @@ def test_infinite_grid_refinement_exits_1(tmp_path, capsys):
     assert "grid refinement" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+# one non-finite real per case: (section, key, value, model section or None, named in the error)
+NON_FINITE = {
+    "nan_lambda_true": ("experiment", "lambda_true", NAN, None, "lambda_true"),
+    "nan_x": ("model", "x", [NAN], None, "weights x"),
+    "infinite_rule_a": ("delta_rule", "a", INF, None, "prefactor a"),
+    "infinite_rule_b": ("delta_rule", "b", INF, None, "exponent b"),
+    "infinite_alpha": ("model", "alpha", [INF], {"kind": "ornstein_uhlenbeck", "K": 1}, "alpha"),
+    "nan_y0": ("model", "y0", [NAN], {"kind": "square_root_diffusion", "K": 1, "x": [1.0]}, "y0"),
+    "infinite_delta_up": ("trigger", "delta_up", INF, None, "thresholds"),
+    "infinite_delta_down": ("trigger", "delta_down", INF, None, "thresholds"),
+    "infinite_c": ("trigger", "c", INF, None, "increment c"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_reals_exit_1(tmp_path, capsys, case):
+    section, key, value, model, named = NON_FINITE[case]
+    rule = {"a": 1.0, "b": 0.25}
+    doc = {
+        "master_seed": 1,
+        "output": str(tmp_path / "out"),
+        "model": model or {"kind": "brownian_constant", "K": 1, "x": [1.0]},
+        "trigger": {"delta_up": 1.0, "delta_down": 1.0, "c": 1.0},
+        "experiment": {"lambda_true": 0.5,
+                       "regime": {"type": "fixed_horizon", "t_list": [5.0], "delta_rule": rule},
+                       "n_replications": 2, "estimators": ["decentralized_fixed"]},
+    }
+    (rule if section == "delta_rule" else doc[section])[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        parse_config(path.read_text())
+    assert len(err.value.violations) == 1 and named in err.value.violations[0], err.value.violations
+    assert main(["estimate", "--config", str(path)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_regimes_reject_bad_points_at_construction():
     rule = PowerLawRule(1.0, 0.25)
     with pytest.raises(InvalidSpec):

@@ -11,6 +11,7 @@ from bitfuse import first_passage
 from bitfuse.errors import BitfuseError, InvalidSpec, NonPositiveInputs, NonPositiveTime, QuadratureFailure, ZeroDrift
 from bitfuse.first_passage import (
     ExitProblem,
+    _cumulative_trapezoid,
     _first_exits,
     _g_eigen,
     _g_image,
@@ -268,6 +269,31 @@ def test_cdf_matches_quadrature_mass():
 
 
 P_KS = ExitProblem(delta=1.0, x=1.0, lam=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=hnp.arrays(float, st.integers(1, 60), elements=st.floats(1e-6, 1e3)),
+    start=st.floats(-1e3, 1e3),
+    data=st.data(),
+)
+def test_trapezoid_matches_scipy_bit_for_bit(steps, start, data):
+    x = start + np.cumsum(steps)
+    x = np.unique(np.concatenate(([start], x)))  # strictly increasing after rounding
+    y = data.draw(hnp.arrays(float, x.size, elements=st.floats(-1e6, 1e6)))
+    want = integrate.cumulative_trapezoid(y, x, initial=0.0)
+    got = _cumulative_trapezoid(y, x)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_cdf_is_the_trapezoid_on_its_grid():
+    ts = np.array([0.05, 0.3, 1.0, 2.5])
+    grid = np.linspace(0.0, ts.max(), first_passage._CDF_GRID_POINTS)
+    dens = np.zeros_like(grid)
+    up, dn = joint_density(P_KS, grid[1:])
+    dens[1:] = up + dn
+    want = np.interp(ts, grid, integrate.cumulative_trapezoid(dens, grid, initial=0.0))
+    np.testing.assert_array_equal(exit_time_cdf(P_KS, ts), want)
 
 
 def test_cdf_of_no_points_is_empty():
