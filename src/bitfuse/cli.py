@@ -99,10 +99,7 @@ def _cmd_simulate(args) -> int:
     grid = exp.grid_for(exp.regime.horizon(point))
     paths = simulate_paths(model, exp.lambda_true, grid, exp.replication_seed(0, 0))
     stats = path_statistics(paths, model)
-    cfgs = cfg.triggers
-    if cfgs is None:
-        cfgs = exp.regime.trigger_configs(model, point)
-    log = run_triggers(stats, model, cfgs)
+    log = run_triggers(stats, model, exp.regime.trigger_configs(model, point))
     (out / "paths.csv").write_text(paths_csv_text(paths, stats))
     (out / "messages.csv").write_text(messages_csv_text(log))
     print(f"wrote {out / 'paths.csv'} and {out / 'messages.csv'}")

@@ -1,18 +1,18 @@
 """Run configuration: strict JSON parsing and lossless serialization.
 
-A run file has four sections: ``model``, optional ``trigger`` (one dict
-applied to every sensor, or a list of per-sensor dicts), ``experiment``,
-and the scalars ``master_seed`` and ``output``.  The dataclasses are the
-schema.  The keys of an object are the init fields of ``ModelSpec``
-(``kind``, ``K`` and the kind's ``spec_fields`` only), ``TriggerConfig``,
-``ExperimentConfig`` (less ``model`` and ``master_seed``, which sit at
-the top level), the regime class its ``type`` names, and
-``PowerLawRule``.  A missing key takes the field's default, and each
-field's annotation picks the reader of its value.  Parsing is strict:
-unknown keys anywhere are rejected, the model section must build a
-model (``build_model``), and all violations are reported in one pass.
-``parse_config(serialize_config(cfg)) == cfg`` holds for every valid
-configuration.
+A run file has two sections, ``model`` and ``experiment``, and the
+scalars ``master_seed`` and ``output``.  It holds no thresholds: every
+subcommand derives them from the regime's rules
+(``Regime.trigger_configs``).  The dataclasses are the schema.  The keys
+of an object are the init fields of ``ModelSpec`` (``kind``, ``K`` and
+the kind's ``spec_fields`` only), ``ExperimentConfig`` (less ``model``
+and ``master_seed``, which sit at the top level), the regime class its
+``type`` names, and ``PowerLawRule``.  A missing key takes the field's
+default, and each field's annotation picks the reader of its value.
+Parsing is strict: unknown keys anywhere are rejected, the model section
+must build a model (``build_model``), and all violations are reported in
+one pass.  ``parse_config(serialize_config(cfg)) == cfg`` holds for
+every valid configuration.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .errors import InvalidSpec, ParseError, ValidationError
 from .experiments import ExperimentConfig, Regime
 from .models import ModelKind, ModelSpec, build_model, spec_fields
 from .timefuncs import TimeFunction, as_timefunction
-from .triggers import TriggerConfig
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "config_hash"]
 
-_TOP_KEYS = {"master_seed", "output", "model", "trigger", "experiment"}
+_TOP_KEYS = ("master_seed", "output", "model", "experiment")
 _REGIMES = {cls.kind: cls for cls in typing.get_args(Regime)}
 
 
@@ -41,7 +40,6 @@ class RunConfig:
     experiment's: ``experiment.master_seed`` and ``experiment.model``."""
 
     output: str
-    triggers: tuple | None
     experiment: ExperimentConfig
 
 
@@ -166,20 +164,6 @@ def _unless_rejected(read, *args, **kwargs):
         return None
 
 
-def _triggers(d, model, violations):
-    if isinstance(d, dict):
-        tc = _unless_rejected(_object, TriggerConfig, d, "trigger", violations)
-        return None if model is None else (tc,) * model.K
-    if not isinstance(d, list):
-        violations.append("trigger: must be an object or a list of objects")
-        return None
-    items = tuple(_unless_rejected(_object, TriggerConfig, item, f"trigger[{k}]", violations)
-                  for k, item in enumerate(d))
-    if model is not None and len(items) != model.K:
-        violations.append(f"trigger: need K={model.K} entries, got {len(items)}")
-    return items
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a run configuration document.
 
@@ -194,23 +178,19 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(["top level: must be a JSON object"])
 
     violations = [f"top level: unknown key {k!r}" for k in doc if k not in _TOP_KEYS]
-    missing = [f"top level: missing required section {k!r}"
-               for k in ("master_seed", "output", "model", "experiment") if k not in doc]
+    missing = [f"top level: missing required section {k!r}" for k in _TOP_KEYS if k not in doc]
     if missing:
         raise ValidationError(violations + missing)
 
-    master_seed, output = doc["master_seed"], doc["output"]
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
-        violations.append("master_seed: must be an integer")
+    output = doc["output"]
     if not isinstance(output, str) or not output:
         violations.append("output: must be a non-empty path string")
     model = _unless_rejected(_model, doc["model"], violations)
-    triggers = _triggers(doc["trigger"], model, violations) if "trigger" in doc else None
     experiment = _unless_rejected(_object, ExperimentConfig, doc["experiment"], "experiment",
-                                  violations, model=model, master_seed=master_seed)
+                                  violations, model=model, master_seed=doc["master_seed"])
     if violations:
         raise ValidationError(violations)
-    return RunConfig(output=output, triggers=triggers, experiment=experiment)
+    return RunConfig(output=output, experiment=experiment)
 
 
 def _doc(v):
@@ -238,8 +218,6 @@ def serialize_config(cfg: RunConfig) -> str:
         "model": {k: v for k, v in experiment.pop("model").items() if v is not None},
         "experiment": experiment,
     }
-    if cfg.triggers is not None:
-        doc["trigger"] = _doc(cfg.triggers)
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -12,7 +12,9 @@ Threshold rules are explicit power laws u -> a * u^b applied per sensor
 (the asymptotic statements only constrain rates, so exponents are
 configuration, recorded in the report).  Each regime class decides how
 one of its points becomes a replication: the starting horizon, the
-per-sensor thresholds and the estimators it accepts.
+per-sensor thresholds and the estimators it accepts.  A regime is built
+only if each of its rules gives a finite positive threshold at each of
+its points.
 """
 
 from __future__ import annotations
@@ -76,7 +78,16 @@ class PowerLawRule:
             raise InvalidSpec(f"rule exponent b must be finite, got {self.b}")
 
     def __call__(self, u: float) -> float:
-        return self.a * float(u) ** self.b
+        """The threshold at u; ``InvalidSpec`` unless it is finite and
+        positive."""
+        try:
+            value = self.a * float(u) ** self.b
+        except OverflowError:
+            value = math.inf
+        if not 0 < value < math.inf:
+            raise InvalidSpec(f"rule {self.a:g} * u^{self.b:g} is {value:g} at u={u:g}: "
+                              "need a finite positive threshold")
+        return value
 
 
 def _trigger_configs(model: Model, delta: float, c: float | None = None,
@@ -91,6 +102,16 @@ def _check_points(name, values):
     that is not finite and positive."""
     if not values or not all(0 < v < math.inf for v in values):
         raise InvalidSpec(f"{name}: need finite positive values, got {list(values)}")
+
+
+def _check_rule(name, rule, points):
+    """Reject a rule whose threshold is not finite and positive at one of
+    the regime's points."""
+    for u in points:
+        try:
+            rule(u)
+        except InvalidSpec as exc:
+            raise InvalidSpec(f"{name}: {exc}") from None
 
 
 _FIXED_ESTIMATORS = (CENTRALIZED_FIXED, DECENTRALIZED_FIXED, TIMING_ONLY)
@@ -109,6 +130,7 @@ class FixedHorizonRegime:
 
     def __post_init__(self):
         _check_points("t_list", self.t_list)
+        _check_rule("delta_rule", self.delta_rule, self.t_list)
 
     def points(self):
         return tuple(float(t) for t in self.t_list)
@@ -138,6 +160,8 @@ class SequentialRegime:
     def __post_init__(self):
         _check_points("gamma_list", self.gamma_list)
         _check_points("initial_horizon", (self.initial_horizon,))
+        _check_rule("delta_rule", self.delta_rule, self.gamma_list)
+        _check_rule("c_rule", self.c_rule, self.gamma_list)
 
     def points(self):
         return tuple(float(g) for g in self.gamma_list)
@@ -166,6 +190,7 @@ class DiscreteSamplingRegime:
     def __post_init__(self):
         _check_points("t", (self.t,))
         _check_points("h_list", self.h_list)
+        _check_rule("delta_rule", self.delta_rule, (self.t,))
 
     def points(self):
         return tuple(float(h) for h in self.h_list)
@@ -183,11 +208,11 @@ Regime = FixedHorizonRegime | SequentialRegime | DiscreteSamplingRegime
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A replication study.  Construction rejects (``InvalidSpec``) a
-    lambda_true that is not finite, fewer than 2 replications, a grid
-    refinement that is not finite and positive, unknown estimators or
-    none, estimators the regime does not accept, and sampling periods
-    that are not a whole number of steps of the horizon's grid
-    (``TimeGrid.stride``)."""
+    master_seed that is not a nonnegative integer, a lambda_true that is
+    not finite, fewer than 2 replications, a grid refinement that is not
+    finite and positive, unknown estimators or none, estimators the
+    regime does not accept, and sampling periods that are not a whole
+    number of steps of the horizon's grid (``TimeGrid.stride``)."""
 
     model: ModelSpec
     lambda_true: float
@@ -198,6 +223,9 @@ class ExperimentConfig:
     grid_steps_per_unit: float = 32.0
 
     def __post_init__(self):
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidSpec(f"master_seed must be a nonnegative integer, got {seed!r}")
         if not math.isfinite(self.lambda_true):
             raise InvalidSpec(f"lambda_true must be finite, got {self.lambda_true}")
         if self.n_replications < 2:
@@ -518,18 +546,14 @@ _FLOAT_TOL = 1e-9
 class BoundReport:
     """Worst-case reconstruction gaps of one replication, with pass flags.
 
-    Continuous mode checks the per-sensor and total gaps against the
-    thresholds at every grid point.  Discrete mode checks the bit
-    reconstruction against threshold + accumulated overshoots at the
-    sampling instants.
+    Continuous mode checks each sensor's and the total bit gap against
+    the thresholds at every grid point.  Discrete mode checks each
+    sensor's bit reconstruction against its threshold plus its
+    accumulated overshoots at the sampling instants.  The information
+    check is on the totals: 0 <= A - tA <= c_total at every grid point.
     """
 
     mode: str
-    b_gap_i: np.ndarray
-    b_bound_i: np.ndarray
-    a_gap_max_i: np.ndarray
-    a_gap_min_i: np.ndarray
-    c_i: np.ndarray
     b_gap_total: float
     delta_total: float
     a_gap_max_total: float
@@ -543,8 +567,6 @@ class BoundReport:
 def audit_bounds(stats: PathStats, state: FusionState, log: MessageLog) -> BoundReport:
     """Measure reconstruction gaps over the whole grid and compare them
     with the thresholds (small float-rounding slack only)."""
-    model = state.model
-    K = model.K
     mode = log.cfgs[0].mode
     if any(c.mode != mode or c.h != log.cfgs[0].h for c in log.cfgs):
         raise InvalidSpec("bound audit requires a common mode and sampling period")
@@ -552,29 +574,17 @@ def audit_bounds(stats: PathStats, state: FusionState, log: MessageLog) -> Bound
     grid_times = stats.grid.times()
     times = grid_times[::stride]
 
-    b_gap = np.empty(K)
-    b_bound = np.empty(K)
-    a_max = np.empty(K)
-    a_min = np.empty(K)
-    c_arr = np.empty(K)
     b_ok = True
     tB_total = np.zeros(times.size)
-    for i in range(K):
+    for i in range(state.model.K):
         tB_i = state.tB_i(i, times)
         tB_total += tB_i
         # continuous overshoots are zeros, so the gap is |B_i - tB_i| there
         cum_eta = np.concatenate(([0.0], np.cumsum(log.b[i].overshoot)))
         idx = np.searchsorted(log.b[i].time, times, side="right")
         gap = np.abs(stats.B_i[i][::stride] - tB_i) - cum_eta[idx]
-        b_gap[i] = float(gap.max())
-        b_bound[i] = log.cfgs[i].delta_max
-        b_ok = b_ok and b_gap[i] <= b_bound[i] + _FLOAT_TOL * (1 + b_bound[i])
-
-        A_i = model.det_info_i(i, grid_times) if stats.A_i is None else stats.A_i[i]
-        a_diff = A_i - state.tA_i(i, grid_times)
-        a_max[i] = float(a_diff.max())
-        a_min[i] = float(a_diff.min())
-        c_arr[i] = log.cfgs[i].c if log.cfgs[i].c is not None else 0.0
+        bound = log.cfgs[i].delta_max
+        b_ok = b_ok and gap.max() <= bound + _FLOAT_TOL * (1 + bound)
 
     b_gap_total = float(np.abs(stats.B[::stride] - tB_total).max())
     a_diff_total = stats.A - state.tA(grid_times)
@@ -582,23 +592,17 @@ def audit_bounds(stats: PathStats, state: FusionState, log: MessageLog) -> Bound
     c_total = state.c_total
     if mode == CONTINUOUS:
         b_ok = b_ok and b_gap_total <= delta_total + _FLOAT_TOL * (1 + delta_total)
-    a_upper_ok = bool(a_diff_total.max() <= c_total + _FLOAT_TOL * (1 + c_total))
-    a_lower_ok = bool(a_diff_total.min() >= -_FLOAT_TOL * (1 + c_total))
+    a_gap_max, a_gap_min = float(a_diff_total.max()), float(a_diff_total.min())
     return BoundReport(
         mode=mode,
-        b_gap_i=b_gap,
-        b_bound_i=b_bound,
-        a_gap_max_i=a_max,
-        a_gap_min_i=a_min,
-        c_i=c_arr,
         b_gap_total=b_gap_total,
         delta_total=delta_total,
-        a_gap_max_total=float(a_diff_total.max()),
-        a_gap_min_total=float(a_diff_total.min()),
+        a_gap_max_total=a_gap_max,
+        a_gap_min_total=a_gap_min,
         c_total=c_total,
         b_ok=bool(b_ok),
-        a_upper_ok=a_upper_ok,
-        a_lower_ok=a_lower_ok,
+        a_upper_ok=bool(a_gap_max <= c_total + _FLOAT_TOL * (1 + c_total)),
+        a_lower_ok=bool(a_gap_min >= -_FLOAT_TOL * (1 + c_total)),
     )
 
 

@@ -36,7 +36,9 @@ remain), so its memory does not grow with the time walkers survive.
 Each block draws normals for every walker, but Brownian-bridge uniforms
 and the per-step bridge tests only for the walkers that come within
 sqrt(20 dt) of a barrier; a step farther away crosses with probability
-below e^-40, which no nonzero uniform falls under.
+below e^-40, which no nonzero uniform falls under.  A bridge test
+compares log u with the crossing probability's exponent, so it never
+forms the probability itself.
 """
 
 from __future__ import annotations
@@ -95,8 +97,6 @@ _MAX_HALVINGS = 3  # exit functionals: refinements of _LOG_STEP before failing
 _CDF_GRID_POINTS = 20001
 _WALK_BLOCK = 1 << 14  # Monte Carlo walk: walkers x steps drawn at once
 _BRIDGE_REACH = 20.0  # Monte Carlo walk: bridge-test walkers within sqrt(20 dt) of a barrier
-_EXP_FLOOR = -700.0  # exp is fast above this and still far above its underflow
-_EXP_FLOOR_PROB = float(np.exp(_EXP_FLOOR))
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -342,44 +342,37 @@ def _first_exits(v, path, u, a, dt):
     exit, at theta = 1/2, when a uniform falls below its barrier's
     crossing probability exp(-2 (a - v0)(a - v1) / dt) or
     exp(-2 (a + v0)(a + v1) / dt); when both bridges fire, the larger
-    probability wins.
+    probability wins.  Each test is made in log space, log u against the
+    exponent, so no probability is formed, and a uniform of exactly 0
+    (log u = -inf) fires every test.
 
     Returns the indices (columns of ``path``) of the walkers that exited,
     their exit step within the block, theta and side (1 up, 0 down).
     """
     r = path.shape[1]
-    p = []
-    for gap, start, uniform in ((a - path, a - v, u[0]), (a + path, a + v, u[1])):
+    expo = []
+    for gap, start in ((a - path, a - v), (a + path, a + v)):
         # exponent -2 * gap(v0) * gap(v1) / dt of every step; dividing by
-        # -dt/2 rounds exactly as multiplying by -2 and dividing by dt
-        expo = np.empty_like(gap)
-        np.multiply(gap[:-1], gap[1:], out=expo[1:])
-        np.multiply(start, gap[0], out=expo[0])
-        expo /= -0.5 * dt
-        # A hard exit has a nonpositive gap after the step, so its
-        # exponent is >= 0 and its uniform always falls below the
-        # probability: the bridge test finds hard exits too.  numpy's exp
-        # is slow near and past underflow, so the exponent is floored at
-        # _EXP_FLOOR.  Flooring changes no test of a uniform at or above
-        # exp(_EXP_FLOOR), about 1e-304; the rare smaller ones get the
-        # unfloored probability.  Steps after a walker's exit may
-        # overflow and are never read.
-        with np.errstate(over="ignore"):
-            prob = np.exp(np.maximum(expo, _EXP_FLOOR))
-            tiny = uniform < _EXP_FLOOR_PROB
-            if tiny.any():
-                prob[tiny] = np.exp(expo[tiny])
-        p.append(prob)
-    p_up, p_dn = p
-    event = (u[0] < p_up) | (u[1] < p_dn)
+        # -dt/2 rounds exactly as multiplying by -2 and dividing by dt.  A
+        # hard exit has a nonpositive gap after the step, so its exponent
+        # is >= 0 > log u: the bridge test finds hard exits too.
+        e = np.empty_like(gap)
+        np.multiply(gap[:-1], gap[1:], out=e[1:])
+        np.multiply(start, gap[0], out=e[0])
+        e /= -0.5 * dt
+        expo.append(e)
+    e_up, e_dn = expo
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
+    event = (log_u[0] < e_up) | (log_u[1] < e_dn)
     step = event.argmax(axis=0)
     rows = np.flatnonzero(event[step, np.arange(r)])
     step = step[rows]
     v1 = path[step, rows]
     v0 = np.where(step > 0, path[step - 1, rows], v[rows])
-    pu, pd = p_up[step, rows], p_dn[step, rows]
+    eu, ed = e_up[step, rows], e_dn[step, rows]
     hard_up, hard_dn = v1 >= a, v1 <= -a
-    bridged_up = (u[0, step, rows] < pu) & ((u[1, step, rows] >= pd) | (pu >= pd))
+    bridged_up = (log_u[0, step, rows] < eu) & ((log_u[1, step, rows] >= ed) | (eu >= ed))
     up = hard_up | (~hard_dn & bridged_up)
     theta = np.full(rows.size, 0.5)
     theta[hard_up] = (a - v0[hard_up]) / (v1[hard_up] - v0[hard_up])
@@ -400,9 +393,9 @@ def _walk_block(v, z, a, drift, sdt, dt):
     ``_first_exits`` finds the near walkers' exits from their columns.
 
     A walker that is not near has gaps above w to both barriers before
-    and after each of its steps, so each step's bridge probability
-    exp(-2 g0 g1 / dt) is below e^-40 ~ 4e-18.  That is below 2^-53, the
-    smallest nonzero uniform ``Generator.random`` returns, so only a
+    and after each of its steps, so each step's bridge exponent
+    -2 g0 g1 / dt is below -40.  The log of every nonzero uniform
+    ``Generator.random`` returns is at least log 2^-53 ~ -36.7, so only a
     uniform of exactly 0 could make such a step exit.  A hard exit ends
     on or beyond a barrier, so its walker is always near, and a band with
     a <= w makes every walker near.

@@ -221,9 +221,10 @@ class Model:
     """A validated model: coefficient evaluators plus closed forms.
 
     Subclasses implement ``_setup`` (field validation), the simulation
-    step, the weight-process values along a path, the instantaneous
-    quadratic-variation density, and the closed-form information when it
-    is deterministic.  A cross-variation that is not identically zero
+    step, the weight-process values along a path, and either the
+    instantaneous quadratic-variation density, when the information is
+    random, or the closed-form information, when it is deterministic.
+    A cross-variation that is not identically zero
     (a pair in ``cross_pairs``) is random exactly when the kind's
     information is; ``d_counts[i]`` counts sensor i's random ones.
     """
@@ -385,9 +386,6 @@ class _GaussianDetInfoModel(Model):
 
     def x_values(self, Y, times):
         return np.stack([f(times) for f in self.b])
-
-    def qv_density(self, i, j, Y, times):
-        return self.rho[i][j](times)
 
     def det_info_i(self, i, t):
         return self._cross_integrand[i][i].integral(t)

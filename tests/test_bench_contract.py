@@ -4,11 +4,14 @@
 module level and patch them while a traced phase runs, so losing one of
 those names fails every workload, including those that never call the
 renamed layer.  These tests import the benchmark as it stands, resolve
-every name it patches, and build and warm up each workload that
-``BENCHMARK.json`` declares.
+every name it patches, check the audit fields it reads, and build and
+warm up each workload that ``BENCHMARK.json`` declares.
 """
 
+import dataclasses
+import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +42,17 @@ def test_every_patched_engine_name_resolves(workloads):
     # patched outside the call tables: the density counter and the audit
     assert callable(fp.joint_density)
     assert callable(experiments.path_statistics)
+
+
+def test_audit_fields_the_benchmark_reads_exist(workloads):
+    # the benchmark formats these only when a gate fails, so a missing one
+    # would show up only as a crash inside a failing run
+    from bitfuse.experiments import BoundReport
+
+    source = inspect.getsource(workloads.ExperimentWorkload._audited)
+    read = set(re.findall(r"report\.(\w+)", source))
+    assert read, "no report fields found"
+    assert read <= {f.name for f in dataclasses.fields(BoundReport)}, read
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,6 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.experiment.master_seed == 99
     assert cfg.experiment.grid_steps_per_unit == 32.0
     assert cfg.experiment.model.K == 2
-    assert cfg.triggers is None
 
 
 def test_unknown_key_rejected_by_name():
@@ -61,14 +60,17 @@ def test_unknown_estimator_rejected_by_name():
 
 
 def test_negative_threshold_rejected():
-    doc = minimal_doc(trigger={"delta_up": 1.0, "delta_down": -1.0})
+    doc = minimal_doc()
+    doc["experiment"]["regime"]["delta_rule"]["a"] = -1.0
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(doc))
-    assert any("positive" in v for v in err.value.violations)
+    assert any("delta_rule" in v and "positive" in v for v in err.value.violations)
 
 
 def test_multiple_violations_reported_together():
-    doc = minimal_doc(foo=1, trigger={"delta_up": 1.0, "delta_down": -1.0, "bar": 2})
+    doc = minimal_doc(foo=1)
+    doc["experiment"]["bar"] = 2
+    doc["experiment"]["regime"]["delta_rule"]["a"] = -1.0
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(doc))
     joined = " | ".join(err.value.violations)
@@ -82,7 +84,7 @@ def test_malformed_json_gives_parse_error_with_position():
 
 
 def test_round_trip_fixed_horizon():
-    cfg = parse_config(json.dumps(minimal_doc(trigger={"delta_up": 1.0, "delta_down": 2.0})))
+    cfg = parse_config(json.dumps(minimal_doc()))
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -102,7 +104,7 @@ def test_round_trip_sequential_with_model_tables():
         estimators=(DECENTRALIZED_SEQUENTIAL,),
         grid_steps_per_unit=100.0,
     )
-    cfg = RunConfig(output="runs/x", triggers=None, experiment=exp)
+    cfg = RunConfig(output="runs/x", experiment=exp)
     assert parse_config(serialize_config(cfg)) == cfg
     assert len(config_hash(cfg)) == 10
 
@@ -250,6 +252,47 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     doc = minimal_doc(foo=3)
     assert main(["experiment", "--config", _write_cfg(tmp_path, doc)]) == 1
     assert "foo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "experiment"])
+def test_trigger_section_is_an_unknown_key(tmp_path, capsys, command):
+    # every subcommand takes its thresholds from the regime's rules
+    doc = minimal_doc(output=str(tmp_path / "out"), trigger={"delta_up": 0.5, "delta_down": 2.0})
+    assert main([command, "--config", _write_cfg(tmp_path, doc)]) == 1
+    assert "unknown key 'trigger'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _regime(doc):
+    return doc["experiment"]["regime"]
+
+
+SEQUENTIAL = {"type": "sequential", "gamma_list": [5.0], "c_rule": {"a": 0.5, "b": 1000.0},
+              "delta_rule": {"a": 0.5, "b": 0.25}}
+
+# one value per case that no replication can run with:
+# (change to the run file, extra arguments, the field named)
+UNRUNNABLE = {
+    "negative_master_seed": (lambda doc: doc.update(master_seed=-1), [], "master_seed"),
+    "negative_seed_option": (lambda doc: None, ["--seed", "-1"], "master_seed"),
+    "delta_rule_overflows": (lambda doc: _regime(doc)["delta_rule"].update(b=1000.0), [],
+                             "delta_rule"),
+    "delta_rule_underflows": (lambda doc: _regime(doc)["delta_rule"].update(b=-1000.0), [],
+                              "delta_rule"),
+    "c_rule_overflows": (lambda doc: doc["experiment"].update(
+        regime=SEQUENTIAL, estimators=["decentralized_sequential"]), [], "c_rule"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNRUNNABLE))
+def test_unrunnable_values_exit_1_before_any_output(tmp_path, capsys, case):
+    change, extra, named = UNRUNNABLE[case]
+    doc = minimal_doc(output=str(tmp_path / "out"))
+    change(doc)
+    assert main(["estimate", "--config", _write_cfg(tmp_path, doc), *extra]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_model_kind_decides_random_cross_variations(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Run-file schema: pinned serialization bytes, round trips, the README
-example, and the point checks of the regimes."""
+examples, and the point checks of the regimes."""
 
 import dataclasses
 import hashlib
@@ -31,22 +31,19 @@ from bitfuse.fusion import (
 )
 from bitfuse.models import ModelKind, ModelSpec
 from bitfuse.reporting import summary_json_text
-from bitfuse.triggers import CONTINUOUS, DISCRETE, TriggerConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 POLY = {"type": "polynomial", "coeffs": [1.0, 0.5]}
 STEP = {"type": "piecewise_constant", "breaks": [2.0, 5.0], "values": [1.0, 0.5, 2.0]}
 
-# one run file per model kind; together they cover every regime type,
-# every time-function table form, a single trigger object, and per-sensor
-# trigger lists with c and h set
+# one run file per model kind; together they cover every regime type and
+# every time-function table form
 PINNED_RUN_FILES = {
     "brownian_fixed": ({
         "master_seed": 99,
         "output": "runs/a",
         "model": {"kind": "brownian_constant", "K": 2, "x": [1.0, -2.5]},
-        "trigger": {"delta_up": 1.0, "delta_down": 2.0},
         "experiment": {
             "lambda_true": 1.0,
             "regime": {"type": "fixed_horizon", "t_list": [50.0, 100.0],
@@ -54,14 +51,12 @@ PINNED_RUN_FILES = {
             "n_replications": 4,
             "estimators": ["decentralized_fixed", "centralized_fixed"],
         },
-    }, "49abe2ee950378c36c1641a7903fe37f14b0e448199e2d789315f5a469bccc1e"),
+    }, "8c504ffdebed58d94fcd7bed4bf1a7ba07384108aaae6c1b8a8e6bc62f396a8e"),
     "gaussian_discrete": ({
         "master_seed": 3,
         "output": "runs/b",
         "model": {"kind": "gaussian_det_info", "K": 2, "b": [POLY, STEP],
                   "rho": [[1.0, 0.25], [0.25, {"type": "constant", "value": 1.0}]]},
-        "trigger": [{"delta_up": 0.5, "delta_down": 0.75, "c": 0.5, "mode": "discrete", "h": 0.1},
-                    {"delta_up": 1.5, "delta_down": 1.0, "c": 2.0, "mode": "discrete", "h": 0.2}],
         "experiment": {
             "lambda_true": -0.5,
             "regime": {"type": "discrete_sampling", "t": 20.0,
@@ -70,13 +65,11 @@ PINNED_RUN_FILES = {
             "estimators": ["timing_only", "decentralized_fixed"],
             "grid_steps_per_unit": 10.0,
         },
-    }, "2b4aead91078273024b54e418ed5e98bb65079cd73fbfe9f27304cadd757f33e"),
+    }, "2c5aef971cf6b471f66815b7b833c075477ce181f449248a4d29362844adb4a0"),
     "ou_sequential": ({
         "master_seed": 7,
         "output": "runs/c",
         "model": {"kind": "ornstein_uhlenbeck", "K": 2, "alpha": [1.0, 0.25]},
-        "trigger": [{"delta_up": 1.0, "delta_down": 1.0, "c": 0.5},
-                    {"delta_up": 2.0, "delta_down": 0.5, "c": 1.5}],
         "experiment": {
             "lambda_true": 0.5,
             "regime": {"type": "sequential", "gamma_list": [100.0, 300.0],
@@ -86,7 +79,7 @@ PINNED_RUN_FILES = {
             "estimators": ["decentralized_sequential"],
             "grid_steps_per_unit": 100.0,
         },
-    }, "bd74eceeb466d30ec31ec0bfdef1f8a5555bc41b2a1de6cff953dbfc486b9e65"),
+    }, "abe3223b88500d2cfd1eb87ed3eb5925c6f63a9c7587deaedb7779677e17d8b5"),
     "square_root_sequential": ({
         "master_seed": 11,
         "output": "runs/d",
@@ -131,7 +124,7 @@ def test_summary_json_bytes_are_pinned():
     exp = dataclasses.replace(cfg.experiment, n_replications=10)
     text = summary_json_text(run_experiment(exp), config_hash=config_hash(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "08b20a82af7c1c5155a9f5e549299533414e4a21a66586b9c881ccae25567ed1"
+        "4f0aec60a2a8b1f1698acab312059f2d20bbad4e5728ade2c9f99c9094215d6b"
     )
 
 
@@ -140,6 +133,15 @@ def test_readme_run_file_round_trips():
     example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     cfg = parse_config(example)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_quick_start_runs(capsys):
+    section = README.read_text().split("## Quick start (Python)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["bit estimator", "oracle", "messages sent"]
+    assert int(out[2].split(":")[1]) > 0
 
 
 # -- round trip over generated configurations -----------------------------------
@@ -171,28 +173,14 @@ def regimes(draw):
     return regime, estimators, spu
 
 
-@st.composite
-def triggers(draw):
-    mode = draw(st.sampled_from((CONTINUOUS, DISCRETE)))
-    return TriggerConfig(
-        delta_up=draw(positive),
-        delta_down=draw(positive),
-        c=draw(st.none() | positive),
-        mode=mode,
-        h=draw(positive) if mode == DISCRETE else None,
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     regime=regimes(),
     K=st.integers(1, 3),
-    trigger_list=st.lists(triggers(), min_size=3, max_size=3),
-    with_triggers=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     lam=st.floats(-5.0, 5.0, allow_nan=False),
 )
-def test_parse_inverts_serialize(regime, K, trigger_list, with_triggers, seed, lam):
+def test_parse_inverts_serialize(regime, K, seed, lam):
     regime, estimators, spu = regime
     exp = ExperimentConfig(
         model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=K, x=tuple(1.0 + i for i in range(K))),
@@ -203,8 +191,7 @@ def test_parse_inverts_serialize(regime, K, trigger_list, with_triggers, seed, l
         estimators=estimators,
         grid_steps_per_unit=spu,
     )
-    cfg = RunConfig(output="out", triggers=tuple(trigger_list[:K]) if with_triggers else None,
-                    experiment=exp)
+    cfg = RunConfig(output="out", experiment=exp)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -270,9 +257,6 @@ NON_FINITE = {
     "infinite_rule_b": ("delta_rule", "b", INF, None, "exponent b"),
     "infinite_alpha": ("model", "alpha", [INF], {"kind": "ornstein_uhlenbeck", "K": 1}, "alpha"),
     "nan_y0": ("model", "y0", [NAN], {"kind": "square_root_diffusion", "K": 1, "x": [1.0]}, "y0"),
-    "infinite_delta_up": ("trigger", "delta_up", INF, None, "thresholds"),
-    "infinite_delta_down": ("trigger", "delta_down", INF, None, "thresholds"),
-    "infinite_c": ("trigger", "c", INF, None, "increment c"),
 }
 
 
@@ -284,7 +268,6 @@ def test_non_finite_reals_exit_1(tmp_path, capsys, case):
         "master_seed": 1,
         "output": str(tmp_path / "out"),
         "model": model or {"kind": "brownian_constant", "K": 1, "x": [1.0]},
-        "trigger": {"delta_up": 1.0, "delta_down": 1.0, "c": 1.0},
         "experiment": {"lambda_true": 0.5,
                        "regime": {"type": "fixed_horizon", "t_list": [5.0], "delta_rule": rule},
                        "n_replications": 2, "estimators": ["decentralized_fixed"]},

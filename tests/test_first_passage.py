@@ -330,10 +330,11 @@ def test_exit_times_reject_fractional_draw_count():
 
 
 def reference_walk(v, z, u, a, drift, sdt, dt):
-    """The walk over one block as the per-step loop did it: each step moves
-    the walkers left by drift + sdt * z, exits those on or beyond a barrier
-    and bridge-tests the others.  Returns the exited rows, their step,
-    theta and side, and the values after the block."""
+    """The walk over one block as a per-step loop: each step moves the
+    walkers left by drift + sdt * z, exits those on or beyond a barrier
+    and bridge-tests the others, log u against the crossing probability's
+    exponent.  Returns the exited rows, their step, theta and side, and
+    the values after the block."""
     alive, v = np.arange(z.shape[0]), v.copy()
     rows, steps, thetas, sides = [], [], [], []
     for k in range(z.shape[1]):
@@ -346,10 +347,11 @@ def reference_walk(v, z, u, a, drift, sdt, dt):
         theta[hard_dn] = (-a - v0[hard_dn]) / (v1[hard_dn] - v0[hard_dn])
         inside = ~(hard_up | hard_dn)
         vi, vni, ai = v0[inside], v1[inside], alive[inside]
-        p_up = np.exp(-2.0 * (a - vi) * (a - vni) / dt)
-        p_dn = np.exp(-2.0 * (a + vi) * (a + vni) / dt)
-        cross_up, cross_dn = u[0, ai, k] < p_up, u[1, ai, k] < p_dn
-        side[inside] = cross_up & (~(cross_up & cross_dn) | (p_up >= p_dn))
+        e_up = -2.0 * (a - vi) * (a - vni) / dt
+        e_dn = -2.0 * (a + vi) * (a + vni) / dt
+        with np.errstate(divide="ignore"):  # a uniform of 0 has log -inf
+            cross_up, cross_dn = np.log(u[0, ai, k]) < e_up, np.log(u[1, ai, k]) < e_dn
+        side[inside] = cross_up & (~(cross_up & cross_dn) | (e_up >= e_dn))
         exited = ~inside
         exited[inside] = cross_up | cross_dn
         rows += alive[exited].tolist()

@@ -392,6 +392,16 @@ def test_trigger_config_validation():
         TriggerConfig(delta_up=1.0, delta_down=1.0, mode="discrete")
     with pytest.raises(InvalidSpec):
         TriggerConfig(delta_up=1.0, delta_down=1.0, h=0.1)
+    # non-finite reals
+    inf = float("inf")
+    with pytest.raises(InvalidSpec, match="thresholds"):
+        TriggerConfig(delta_up=inf, delta_down=1.0)
+    with pytest.raises(InvalidSpec, match="thresholds"):
+        TriggerConfig(delta_up=1.0, delta_down=inf)
+    with pytest.raises(InvalidSpec, match="increment c"):
+        TriggerConfig(delta_up=1.0, delta_down=1.0, c=inf)
+    with pytest.raises(InvalidSpec, match="sampling period h"):
+        TriggerConfig(delta_up=1.0, delta_down=1.0, mode="discrete", h=float("nan"))
 
 
 def test_run_triggers_enforces_timing_increment_presence():
