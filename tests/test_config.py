@@ -257,22 +257,31 @@ NON_FINITE = {
     "infinite_rule_b": ("delta_rule", "b", INF, None, "exponent b"),
     "infinite_alpha": ("model", "alpha", [INF], {"kind": "ornstein_uhlenbeck", "K": 1}, "alpha"),
     "nan_y0": ("model", "y0", [NAN], {"kind": "square_root_diffusion", "K": 1, "x": [1.0]}, "y0"),
+    # the thresholds delta_up = delta_down and the increment c come from the
+    # regime's rules; each case makes one of them overflow at the point 5
+    "infinite_delta_up": ("delta_rule", "a", 1.7e308, None, "delta_rule"),  # a * u^b overflows
+    "infinite_delta_down": ("delta_rule", "b", 500.0, None, "delta_rule"),  # u^b overflows
+    "infinite_c": ("c_rule", "b", 500.0, None, "c_rule"),
 }
 
 
 @pytest.mark.parametrize("case", list(NON_FINITE))
 def test_non_finite_reals_exit_1(tmp_path, capsys, case):
     section, key, value, model, named = NON_FINITE[case]
-    rule = {"a": 1.0, "b": 0.25}
+    regime, estimators = (
+        ({"type": "sequential", "gamma_list": [5.0], "c_rule": {"a": 1.0, "b": 0.25},
+          "delta_rule": {"a": 1.0, "b": 0.25}}, ["decentralized_sequential"])
+        if section == "c_rule" else
+        ({"type": "fixed_horizon", "t_list": [5.0], "delta_rule": {"a": 1.0, "b": 0.25}},
+         ["decentralized_fixed"]))
     doc = {
         "master_seed": 1,
         "output": str(tmp_path / "out"),
         "model": model or {"kind": "brownian_constant", "K": 1, "x": [1.0]},
-        "experiment": {"lambda_true": 0.5,
-                       "regime": {"type": "fixed_horizon", "t_list": [5.0], "delta_rule": rule},
-                       "n_replications": 2, "estimators": ["decentralized_fixed"]},
+        "experiment": {"lambda_true": 0.5, "regime": regime,
+                       "n_replications": 2, "estimators": estimators},
     }
-    (rule if section == "delta_rule" else doc[section])[key] = value
+    (regime[section] if section.endswith("_rule") else doc[section])[key] = value
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError) as err:
