@@ -37,6 +37,11 @@ class GammaTooSmall(BitfuseError):
     """Sequential information target does not exceed the count budget."""
 
 
+class MessageFlood(BitfuseError):
+    """A sensor's trigger would send more messages than the per-sensor
+    cap (``triggers.MAX_MESSAGES``)."""
+
+
 class HorizonExhausted(BitfuseError):
     """The stopping rule did not fire within the simulated horizon."""
 

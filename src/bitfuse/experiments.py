@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import BitfuseError, HorizonExhausted, InvalidSpec, SampleTooSmall
 from . import fusion
@@ -40,7 +39,15 @@ from .fusion import (
     reconstruct,
 )
 from .models import Model, ModelSpec, PathStats, TimeGrid, build_model, path_statistics, simulate_paths
-from .triggers import CONTINUOUS, DISCRETE, MessageLog, TriggerConfig, run_a_trigger, run_b_trigger
+from .triggers import (
+    CONTINUOUS,
+    DISCRETE,
+    BMessages,
+    MessageLog,
+    TriggerConfig,
+    run_a_trigger,
+    run_b_trigger,
+)
 
 __all__ = [
     "PowerLawRule",
@@ -302,6 +309,11 @@ class ExperimentReport:
 def ks_test(sample):
     """One-sample Kolmogorov-Smirnov distance to the standard normal and
     its asymptotic p-value."""
+    # imported here, not at module level: this is its only caller, and
+    # the import is about half of ``import bitfuse``, which every CLI run
+    # and worker process pays whether it aggregates or not
+    from scipy import special
+
     sample = np.asarray(sample, dtype=float)
     n = sample.size
     if n < 8:
@@ -315,13 +327,19 @@ def ks_test(sample):
     return D, p
 
 
-def _run_triggers_capped(stats: PathStats, model: Model, cfgs, max_level=None) -> MessageLog:
-    b_logs, a_logs = [], []
-    for i in range(model.K):
-        b_logs.append(run_b_trigger(stats.B_i[i], stats.grid, cfgs[i]))
-        A_i = None if stats.A_i is None else stats.A_i[i]
-        a_logs.append(run_a_trigger(A_i, stats.grid, cfgs[i].c, max_level=max_level))
-    return MessageLog(b=tuple(b_logs), a=tuple(a_logs), cfgs=cfgs, horizon=stats.grid.t_end)
+def _timing_logs(stats: PathStats, model: Model, cfgs, max_level=None):
+    """Each sensor's timing messages, up to information ``max_level``."""
+    return tuple(run_a_trigger(None if stats.A_i is None else stats.A_i[i], stats.grid, cfgs[i].c,
+                               max_level=max_level)
+                 for i in range(model.K))
+
+
+def _with_bits(stats: PathStats, model: Model, cfgs, a_logs, max_step=None) -> MessageLog:
+    """The log of ``a_logs`` and each sensor's bits up to grid step
+    ``max_step`` (the whole horizon when None)."""
+    b_logs = tuple(run_b_trigger(stats.B_i[i], stats.grid, cfgs[i], max_step=max_step)
+                   for i in range(model.K))
+    return MessageLog(b=b_logs, a=a_logs, cfgs=cfgs, horizon=stats.grid.t_end)
 
 
 def _row(point, rep, est, result, lam, std_scale, a_at_stop, state, horizon, t_eval):
@@ -377,9 +395,6 @@ def _failed_row(point, rep, est, horizon, exc):
 def _estimate(est, point, t_end, stats, state):
     """One estimator's result, the information at its stop, and the time
     up to which its messages are counted."""
-    if est == CENTRALIZED_SEQUENTIAL:
-        res = centralized_estimates(stats, gamma=point)[0]
-        return res, point, res.stop_time
     if est == DECENTRALIZED_SEQUENTIAL:
         res = fusion.estimate_sequential(state, point)
         # with deterministic information the stop is the exact closed-form
@@ -396,12 +411,73 @@ def _estimate(est, point, t_end, stats, state):
     return res, float(stats.A[-1]), t_end
 
 
+def _outcome(est, point, t_end, stats, state):
+    try:
+        return _estimate(est, point, t_end, stats, state)
+    except BitfuseError as exc:
+        return exc
+
+
+def _stop(est, point, stats, no_bits):
+    """A sequential estimator's outcome as far as it is known before any
+    bit is sent, and its stop time: the oracle's whole outcome; None for
+    the decentralized estimator, estimated once the bits up to its stop
+    are sent; or the error that ends it, with no stop.  An error caught
+    here references only this frame, so it forms no reference cycle with
+    the caller's outcome list."""
+    try:
+        if est == CENTRALIZED_SEQUENTIAL:
+            res = centralized_estimates(stats, gamma=point)[0]
+            # A equals gamma at the oracle's stop
+            return (res, point, res.stop_time), res.stop_time
+        return None, fusion._sequential_stop(no_bits, point)[0]
+    except BitfuseError as exc:
+        return exc, None
+
+
+# a sensor's bit log before any bit is sent
+_NO_BITS = BMessages(time=np.empty(0), bit=np.empty(0, dtype=np.uint8), overshoot=np.empty(0))
+
+
+def _sequential_outcomes(estimators, point, stats: PathStats, model: Model, cfgs):
+    """Each sequential estimator's outcome, and the fusion state the rows
+    read: None when an estimator exhausts the horizon, which runs no bit
+    trigger since the replication then starts again on a longer horizon
+    or fails.
+
+    The timing triggers run first.  The decentralized stop reads only
+    their log and the oracle's only the information path, so both stops
+    are known before any bit is sent.  No row reads a bit stamped after
+    its estimator's stop, so the bit triggers scan only the grid prefix
+    that holds every message up to the later stop (``run_b_trigger``'s
+    ``max_step``); past the stop a path can send thousands of bits that
+    nothing reads.
+    """
+    grid = stats.grid
+    a_logs = _timing_logs(stats, model, cfgs, max_level=point)
+    no_bits = FusionState(MessageLog(b=(_NO_BITS,) * model.K, a=a_logs, cfgs=cfgs,
+                                     horizon=grid.t_end), model)
+    outcomes, stops = zip(*(_stop(est, point, stats, no_bits) for est in estimators))
+    if any(isinstance(o, HorizonExhausted) for o in outcomes):
+        return outcomes, None
+    stops = [t for t in stops if t is not None]
+    last = min(grid.n_steps, math.ceil(max(stops) / grid.dt) + 1) if stops else 0
+    state = reconstruct(_with_bits(stats, model, cfgs, a_logs, max_step=last), model)
+    outcomes = [_outcome(est, point, grid.t_end, stats, state) if out is None else out
+                for est, out in zip(estimators, outcomes)]
+    return outcomes, state
+
+
 def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     """Run one replication at one regime point; returns (rows, warnings).
 
     In the sequential regime a replication whose horizon is too short
     for some estimator to stop is simulated again, from the same seed, on
-    a longer horizon.
+    a longer horizon, and its bit triggers run only up to the later stop
+    (``_sequential_outcomes``).  The other regimes run every trigger over
+    the whole horizon.  A ``BitfuseError`` from the simulation, the
+    statistics or the triggers (a ``MessageFlood``, say) fails every row
+    of the replication.
     """
     model = build_model(cfg.model)
     regime = cfg.regime
@@ -409,7 +485,6 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     seed = cfg.replication_seed(point_index, rep)
     cfgs = regime.trigger_configs(model, point)
     sequential = regime.kind == "sequential"
-    # sequential rows report message counts, the oracle's included
     need_log = any(e != CENTRALIZED_FIXED for e in cfg.estimators)
     t_end = regime.horizon(point)
     attempt = 0
@@ -418,18 +493,16 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
         try:
             paths = simulate_paths(model, cfg.lambda_true, cfg.grid_for(t_end), seed)
             stats = path_statistics(paths, model)
+            if sequential:
+                outcomes, state = _sequential_outcomes(cfg.estimators, point, stats, model, cfgs)
+            else:
+                state = None
+                if need_log:
+                    log = _with_bits(stats, model, cfgs, _timing_logs(stats, model, cfgs))
+                    state = reconstruct(log, model)
+                outcomes = [_outcome(est, point, t_end, stats, state) for est in cfg.estimators]
         except BitfuseError as exc:
             return [_failed_row(point, rep, est, t_end, exc) for est in cfg.estimators], []
-        log = state = None
-        if need_log:
-            log = _run_triggers_capped(stats, model, cfgs, max_level=point if sequential else None)
-            state = reconstruct(log, model)
-        outcomes = []
-        for est in cfg.estimators:
-            try:
-                outcomes.append(_estimate(est, point, t_end, stats, state))
-            except BitfuseError as exc:
-                outcomes.append(exc)
         exhausted = [o for o in outcomes if isinstance(o, HorizonExhausted)]
         if not (sequential and exhausted):
             break

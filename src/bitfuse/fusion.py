@@ -225,6 +225,23 @@ def estimate_sequential(state: FusionState, gamma: float) -> EstimateResult:
     that pushed tA over the target; with deterministic information it is
     the exact threshold time.
     """
+    stop, info = _sequential_stop(state, gamma)
+    if info == 0.0:
+        raise ZeroInformation("reconstructed information is zero at the stop time")
+    value = float(state.tB(stop)) / info
+    return EstimateResult(
+        estimator=DECENTRALIZED_SEQUENTIAL,
+        value=value,
+        stop_time=stop,
+        info_used=info,
+        messages_used=sum(state.message_counts(stop)),
+    )
+
+
+def _sequential_stop(state: FusionState, gamma: float):
+    """The sequential rule's stop time and tA there.  It reads the timing
+    messages and the model only, never the bits, so the replication
+    engine finds the stop before it runs the bit triggers."""
     model = state.model
     c = state.c_total
     if not gamma > c:
@@ -238,6 +255,10 @@ def estimate_sequential(state: FusionState, gamma: float) -> EstimateResult:
         lo, hi = 0.0, state.horizon
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            # no float between lo and hi: every later step keeps them
+            # (A(lo) < target <= A(hi)), so the stop is already hi
+            if not lo < mid < hi:
+                break
             if float(model.det_info(mid)) >= target:
                 hi = mid
             else:
@@ -255,16 +276,7 @@ def estimate_sequential(state: FusionState, gamma: float) -> EstimateResult:
                                    "lengthen the horizon")
         stop = float(cand[hit[0]])
         info = float(vals[hit[0]])
-    if info == 0.0:
-        raise ZeroInformation("reconstructed information is zero at the stop time")
-    value = float(state.tB(stop)) / info
-    return EstimateResult(
-        estimator=DECENTRALIZED_SEQUENTIAL,
-        value=value,
-        stop_time=stop,
-        info_used=info,
-        messages_used=sum(state.message_counts(stop)),
-    )
+    return stop, info
 
 
 def estimate_timing_only(state: FusionState, t: float) -> EstimateResult:

@@ -20,6 +20,14 @@ a path that reverses at nearly every message pays a leg per message.  In
 discrete mode the statistic is inspected only every h time units, the
 message is stamped at the sampling instant, the reference jumps to the
 sampled value, and the unobserved overshoot is recorded for diagnostics.
+
+A bit trigger can stop at a grid step: its messages are then the whole
+path's messages up to that step, so a caller that reads only the
+messages before some time scans only the prefix that holds them.  A
+continuous bit trigger or a timing trigger that would put more than
+``MAX_MESSAGES`` messages in one sensor's log raises ``MessageFlood``
+instead of allocating them; a discrete one sends at most one message per
+sample.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, NonMonotoneInput, OutOfHorizon
+from .errors import InvalidSpec, MessageFlood, NonMonotoneInput, OutOfHorizon
 from .models import Model, PathStats, TimeGrid
 
 __all__ = [
@@ -129,6 +137,15 @@ class MessageLog:
 
 _WINDOW = 256  # first scan window, in grid steps
 _MAX_WINDOW = 1 << 20
+# most bit or timing messages one sensor's log may hold: 2^22 messages
+# take 71 MB as a bit log (time, bit and overshoot) and 34 MB as a timing
+# log, so eight sensors' logs fit well inside 2 GiB
+MAX_MESSAGES = 1 << 22
+
+
+def _bit_flood():
+    return MessageFlood(f"the bit trigger would send more than {MAX_MESSAGES} messages "
+                        "from one sensor")
 
 
 def _first_exit_index(B: np.ndarray, start: int, hi: float, lo: float, window: int):
@@ -147,7 +164,8 @@ def _first_exit_index(B: np.ndarray, start: int, hi: float, lo: float, window: i
     return None
 
 
-def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMessages:
+def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig,
+                  max_step: int | None = None) -> BMessages:
     """Run the bit trigger over one sensor's integral statistic.
 
     Continuous mode: a crossing is detected at the first grid step where
@@ -175,18 +193,33 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMe
     the sampling instant, the reference restarts from the sampled value,
     and the overshoot beyond the threshold is recorded.
 
+    ``max_step`` optionally ends the scan at grid index max_step.  The
+    messages are then exactly those of the whole path at steps up to
+    max_step, their times formed with the whole grid's dt, and
+    ``pending`` is the residual at that step.  A continuous message at
+    step j is stamped in ((j - 1) dt, j dt], so a scan to step
+    ceil(t / dt) + 1 holds every message stamped at or before t, with a
+    step to spare for rounding.
+
     A path with an infinite or NaN value is rejected (``InvalidSpec``).
+    In continuous mode a log that would pass ``MAX_MESSAGES`` raises
+    ``MessageFlood``, and no leg allocates more levels than that;
+    discrete mode sends at most one message per sample.
     """
     B = np.asarray(B_path, dtype=float)
     if B.size != grid.n_steps + 1:
         raise InvalidSpec("statistic path length does not match the grid")
+    if max_step is not None:
+        if not 0 <= max_step <= grid.n_steps:
+            raise InvalidSpec(f"max_step must lie in [0, {grid.n_steps}], got {max_step}")
+        B = B[:max_step + 1]
     # reductions: no temporary of the path's size; NaN fails the test
     if not (-np.inf < B.min() and B.max() < np.inf):
         raise InvalidSpec("statistic path must be finite")
     if cfg.mode == DISCRETE:
         stride = grid.stride(cfg.h)
         samples = B[::stride]
-        sample_times = grid.times()[::stride]
+        sample_times = grid.times()[:B.size:stride]
         return _discrete_b_trigger(samples, sample_times, cfg)
     return _continuous_b_trigger(B, grid, cfg)
 
@@ -199,10 +232,14 @@ def _continuous_b_trigger(B, grid, cfg):
     # the crossing steps and boundary levels of each leg, in order
     idx, lev = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     window = _WINDOW
+    found = 0
     while j is not None:
         # a leg starts at its first crossing, step j, and its turn starts
         # the next leg in the other direction
         leg_idx, leg_lev, turn = _leg(B, j, ref, up, dup, ddn, window)
+        found += leg_lev.size
+        if found > MAX_MESSAGES:
+            raise _bit_flood()
         idx.append(leg_idx)
         lev.append(leg_lev)
         ref = leg_lev.item(-1)
@@ -223,14 +260,26 @@ def _continuous_b_trigger(B, grid, cfg):
     )
 
 
-def _levels(ref, step, reach):
+def _levels(ref, step, reach, room):
     """The boundaries ref + step, ref + 2 step, ... up to the last one at
     or below ``reach``, each the float sum of the one before and ``step``
-    (``cumsum`` adds in order, as ``ref = ref + step`` does)."""
-    out = np.full(max(1, int((reach - ref) / step) + 2), step)
+    (``cumsum`` adds in order, as ``ref = ref + step`` does).
+
+    ``MessageFlood`` when more than ``room`` of them would be needed,
+    checked before each allocation, so a band far below the path's
+    range (or one below the rounding of ``ref``, where the sums stall)
+    fails instead of exhausting memory."""
+    # floor(count) levels lie in (ref, reach], up to rounding; a Python
+    # float quotient overflows to inf without a warning
+    count = float(reach - ref) / step
+    if not count < room + 1:
+        raise _bit_flood()
+    out = np.full(max(1, int(count) + 2), step)
     out[0] += ref
     out.cumsum(out=out)
     while out[-1] <= reach:
+        if out.size > room:
+            raise _bit_flood()
         more = np.full(out.size, step)
         more[0] += out[-1]
         out = np.concatenate((out, more.cumsum(out=more)))
@@ -240,6 +289,7 @@ def _levels(ref, step, reach):
 def _leg(B, start, ref, up, dup, ddn, window):
     """A leg: the run of same-direction crossings found by scanning from
     ``start`` with reference ``ref``, upward when ``up`` is true.
+    ``MessageFlood`` when the leg alone would pass ``MAX_MESSAGES``.
 
     Returns the crossing step indices, the boundary levels, and the first
     index where B leaves the band through the other side (None when the
@@ -251,12 +301,13 @@ def _leg(B, start, ref, up, dup, ddn, window):
     refx = ref if up else -ref
     idx, lev = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     turn = None
+    room = MAX_MESSAGES
     while start < n:
         x = B[start:start + window]
         if not up:
             x = -x
         top = np.maximum.accumulate(x)
-        levels = _levels(refx, step, top[-1])
+        levels = _levels(refx, step, top[-1], room)
         # levels[m] is first reached at hit[m]
         hit = top.searchsorted(levels)
         # the band's lower edge at each index: the reference moves from
@@ -276,6 +327,7 @@ def _leg(B, start, ref, up, dup, ddn, window):
             break
         idx.append(start + hit)
         lev.append(levels)
+        room -= levels.size
         if levels.size:
             refx = levels[-1]
         start += x.size
@@ -322,7 +374,8 @@ def run_a_trigger(A_path: np.ndarray | None, grid: TimeGrid, c: float | None,
     path is not read then and may be None, as ``PathStats.A_i`` is.
     ``max_level`` optionally caps the emitted levels; levels above it can
     never be consumed by a stopping rule targeting that amount of
-    information.
+    information.  More than ``MAX_MESSAGES`` levels raise
+    ``MessageFlood`` before any is allocated.
     """
     if c is None:
         return _empty_a()
@@ -334,15 +387,35 @@ def run_a_trigger(A_path: np.ndarray | None, grid: TimeGrid, c: float | None,
     if A[0] != 0.0 or np.any(np.diff(A) < 0):
         raise NonMonotoneInput("information path must be nondecreasing from 0")
     top = A[-1] if max_level is None else min(A[-1], max_level)
-    n_msg = int(np.floor(top / c))
+    # floor(quotient) levels; a Python float quotient overflows to inf
+    # without a warning
+    quotient = float(top) / c
+    if not quotient < MAX_MESSAGES + 1:
+        raise MessageFlood(f"the timing trigger would send {quotient:.3g} messages from one "
+                           f"sensor, more than {MAX_MESSAGES}")
+    n_msg = int(quotient)
     if n_msg == 0:
         return _empty_a()
-    levels = c * np.arange(1, n_msg + 1)
-    idx = np.searchsorted(A, levels, side="left")
-    prev = idx - 1
-    denom = A[idx] - A[prev]
-    theta = (levels - A[prev]) / denom
-    t_msg = prev * grid.dt + theta * grid.dt
+    # t = prev dt + theta dt with theta = (level - A[prev]) / (A[idx] - A[prev]),
+    # prev = idx - 1, formed in place: four arrays of the log's length
+    # are alive at once instead of seven, the float operations unchanged
+    levels = np.arange(1, n_msg + 1, dtype=float)
+    levels *= c
+    # floor(top / c) can round up to a level just past the path's end
+    # (0.7 / 0.02 == 35, but 35 * 0.02 > 0.7), which the path never reaches
+    if levels[-1] > A[-1]:
+        levels = levels[:-1]
+    idx = A.searchsorted(levels, side="left")
+    span = A[idx]
+    idx -= 1
+    below = A[idx]
+    span -= below
+    levels -= below
+    levels /= span
+    del span, below
+    levels *= grid.dt
+    t_msg = idx * grid.dt
+    t_msg += levels
     return AMessages(time=t_msg)
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -339,6 +343,40 @@ def test_runtime_failure_exits_2(tmp_path, capsys):
     # simulate hits the blowup guard directly, a runtime failure
     assert main(["simulate", "--config", _write_cfg(tmp_path, doc)]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+# the child limits its own address space before it imports numpy
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from bitfuse.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_simulate_message_flood_exits_2_under_a_memory_limit(tmp_path):
+    # the information reaches ~7e7 over the horizon where the sequential
+    # stop needs ~100, so the whole-horizon log `simulate` writes would hold
+    # ~77M messages; it used to pass 2 GB before the message lines were built
+    doc = minimal_doc(output=str(tmp_path / "flood"), master_seed=7)
+    doc["model"] = {"kind": "correlated_diffusion", "K": 2, "sigma": [[1.0, 0.0], [0.5, 1.0]]}
+    doc["experiment"].update(
+        lambda_true=0.5,
+        regime={"type": "sequential", "gamma_list": [100.0], "c_rule": {"a": 0.5, "b": 0.25},
+                "delta_rule": {"a": 0.5, "b": 0.25}, "initial_horizon": 10.0},
+        estimators=["decentralized_sequential", "centralized_sequential"],
+        grid_steps_per_unit=200.0,
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", LIMITED_MAIN, "simulate", "--config",
+                          _write_cfg(tmp_path, doc)], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "runtime error" in res.stderr and "messages from one sensor" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "flood" / "messages.csv").exists()
 
 
 def test_threads_env_override(tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 from test_models import ALL_CATALOG
 
+from bitfuse import experiments
 from bitfuse.errors import InvalidSpec, SampleTooSmall
 from bitfuse.experiments import (
     DiscreteSamplingRegime,
@@ -315,6 +320,99 @@ def test_statistics_flood_gives_failed_rows():
     assert all(not r.ok and r.fail_reason.startswith("NumericalBlowup") for r in rows)
 
 
+def test_message_flood_gives_failed_rows():
+    # a threshold of 1e-300 asks the bit trigger for ~1e300 messages
+    cfg = small_cfg(
+        model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=1, x=(1.0,)),
+        regime=FixedHorizonRegime(t_list=(5.0,), delta_rule=PowerLawRule(1e-300, 0.25)),
+    )
+    rows = run_replication(cfg, 0, 0)
+    assert [r.estimator for r in rows] == [DECENTRALIZED_FIXED, CENTRALIZED_FIXED]
+    assert all(not r.ok and r.fail_reason.startswith("MessageFlood") for r in rows)
+
+
+@pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])
+def test_sequential_rows_equal_rows_from_whole_horizon_logs(monkeypatch, spec, lam):
+    # the engine scans each bit path only up to the later stop; rows built
+    # from every sensor's whole-horizon bits (public run_triggers) with the
+    # same timing logs must be the same bytes, extended replications included
+    cfg = ExperimentConfig(
+        model=spec,
+        lambda_true=lam,
+        regime=SequentialRegime(gamma_list=(3.0, 8.0), c_rule=PowerLawRule(0.3, 0.25),
+                                delta_rule=PowerLawRule(0.3, 0.25), initial_horizon=1.0),
+        n_replications=6,
+        master_seed=5,
+        estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
+        grid_steps_per_unit=200.0,
+    )
+    scans, logs = [], []
+    run_b, rebuild = experiments.run_b_trigger, experiments.reconstruct
+
+    def scan_spy(B, grid, trigger_cfg, max_step=None):
+        scans.append(grid.n_steps - max_step)
+        return run_b(B, grid, trigger_cfg, max_step=max_step)
+
+    def log_spy(log, model):
+        logs.append(log)
+        return rebuild(log, model)
+
+    monkeypatch.setattr(experiments, "run_b_trigger", scan_spy)
+    monkeypatch.setattr(experiments, "reconstruct", log_spy)
+    cut = run_experiment(cfg)
+    assert cut.warnings and all(r.ok for r in cut.rows)
+    assert max(scans) > 0  # some bit paths were cut short
+    cut_logs, logs[:] = logs[:], []
+
+    def whole_horizon(stats, model, cfgs, a_logs, max_step=None):
+        return replace(run_triggers(stats, model, cfgs), a=a_logs)
+
+    monkeypatch.setattr(experiments, "_with_bits", whole_horizon)
+    assert rows_csv_text(run_experiment(cfg)) == rows_csv_text(cut)
+    # each cut bit log is the whole log's first messages, bit for bit
+    assert len(logs) == len(cut_logs)
+    for part, whole in zip(cut_logs, logs):
+        assert part.horizon == whole.horizon
+        for bp, bw in zip(part.b, whole.b):
+            for field in ("time", "bit", "overshoot"):
+                assert np.array_equal(getattr(bp, field), getattr(bw, field)[: len(bp)]), field
+
+
+# the child limits its own address space before it imports numpy
+SEED_8_REPLICATION = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from bitfuse.experiments import ExperimentConfig, PowerLawRule, SequentialRegime, run_replication
+from bitfuse.models import ModelKind, ModelSpec
+cfg = ExperimentConfig(
+    model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 1.0)),
+    lambda_true=0.5,
+    regime=SequentialRegime(gamma_list=(10_000.0,), c_rule=PowerLawRule(0.5, 0.25),
+                            delta_rule=PowerLawRule(0.5, 0.25), initial_horizon=8.5),
+    n_replications=1000,
+    master_seed=8,
+    estimators=("decentralized_sequential", "centralized_sequential"),
+    grid_steps_per_unit=1000.0,
+)
+for row in run_replication(cfg, 0, 824):
+    print(row.ok, row.horizon, row.stop_time < row.horizon)
+"""
+
+
+def test_sequential_suite_replication_ends_before_its_bit_flood():
+    # the sequential suite's replication 824 at experiment seed 8 is
+    # extended to t = 20.75, past which B_i grows like e^(lambda t): the
+    # whole-horizon bit trigger asked for 221,640,166 levels (1.65 GiB) in
+    # one allocation, while both stops come before t = 8.5
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", SEED_8_REPLICATION], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["True 20.751953125 True"] * 2
+
+
 # -- pinned output bytes ---------------------------------------------------------
 #
 # sha256 of the rows CSV of two fixed-seed runs (Python 3.11, numpy 2.4).  A
@@ -360,6 +458,35 @@ PINNED_ROWS = (
 def test_rows_csv_bytes_are_pinned(cfg, digest):
     text = rows_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# a correlated sequential run with extended replications, recorded while
+# every bit trigger still ran over the whole horizon
+PINNED_CORRELATED_ROWS = (
+    ExperimentConfig(
+        model=ModelSpec(
+            kind=ModelKind.CORRELATED_DIFFUSION,
+            K=2,
+            sigma=((TimeFunction.constant(1.0), TimeFunction.constant(0.0)),
+                   (TimeFunction.constant(0.5), TimeFunction.constant(1.0))),
+        ),
+        lambda_true=0.3,
+        regime=SequentialRegime(gamma_list=(20.0, 40.0), c_rule=PowerLawRule(0.5, 0.25),
+                                delta_rule=PowerLawRule(0.5, 0.25), initial_horizon=2.0),
+        n_replications=6,
+        master_seed=7,
+        estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
+        grid_steps_per_unit=400.0,
+    ),
+    "b2da1a8d960500b4bbe45df76d8853317ff75e9114ed3d48f82d96912db6ba9f",
+)
+
+
+def test_correlated_sequential_rows_are_pinned():
+    cfg, digest = PINNED_CORRELATED_ROWS
+    report = run_experiment(cfg)
+    assert report.warnings
+    assert hashlib.sha256(rows_csv_text(report).encode()).hexdigest() == digest
 
 
 # -- bound audit ---------------------------------------------------------------

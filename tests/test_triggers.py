@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bitfuse import triggers
-from bitfuse.errors import InvalidSpec, NonMonotoneInput, OutOfHorizon
+from bitfuse.errors import InvalidSpec, MessageFlood, NonMonotoneInput, OutOfHorizon
 from bitfuse.models import ModelKind, ModelSpec, TimeGrid, build_model, path_statistics, simulate_paths
 from bitfuse.triggers import (
     BMessages,
@@ -217,6 +217,84 @@ def test_driftless_walk_with_many_reversals_matches_reference_scan(monkeypatch):
     assert sum(turn is None or turn > start + window for start, window, turn in legs) >= 10
 
 
+@st.composite
+def prefix_cases(draw):
+    """A lattice path on a grid of step 1, 0.1, 1/3 or 0.7, and a step m
+    to end the scan at: most often next to one of the path's crossing
+    steps, on either side of it or on it."""
+    B, grid, cfg = draw(lattice_paths())
+    n = grid.n_steps
+    grid = TimeGrid(n * draw(st.sampled_from([1.0, 0.1, 1 / 3, 0.7])), n)
+    _, steps = reference_scan(B, grid, cfg)
+    if steps.size and draw(st.integers(0, 3)):
+        m = int(draw(st.sampled_from(steps.tolist()))) + draw(st.integers(-1, 1))
+    else:
+        m = draw(st.integers(0, n))
+    return B, grid, cfg, min(max(m, 0), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_cases())
+def test_scan_to_a_step_keeps_the_whole_paths_messages_up_to_it(case):
+    B, grid, cfg, m = case
+    cut = run_b_trigger(B, grid, cfg, max_step=m)
+    # the scan of B[:m + 1] with the whole grid's times
+    assert_same_messages(cut, reference_scan(B[: m + 1], grid, cfg)[0])
+    full = run_b_trigger(B, grid, cfg)
+    _, steps = reference_scan(B, grid, cfg)
+    k = int(np.searchsorted(steps, m, side="right"))
+    assert len(cut) == k
+    for field in ("time", "bit", "overshoot"):
+        assert np.array_equal(getattr(cut, field), getattr(full, field)[:k]), field
+    # a message stamped at time t comes at a step of at most ceil(t/dt) + 1,
+    # the prefix the replication engine scans to reach a stop at t
+    assert np.all(steps <= np.ceil(full.time / grid.dt) + 1)
+
+
+def test_scan_step_must_lie_on_the_grid():
+    grid = TimeGrid(1.0, 4)
+    for bad in (-1, 5):
+        with pytest.raises(InvalidSpec, match="max_step"):
+            run_b_trigger(np.zeros(5), grid, symmetric(1.0), max_step=bad)
+
+
+def test_discrete_scan_to_a_step_keeps_the_samples_up_to_it():
+    grid = TimeGrid(2.0, 20)
+    B = np.sin(3.0 * grid.times()) * 4.0
+    cfg = symmetric(1.0, mode="discrete", h=0.2)
+    full = run_b_trigger(B, grid, cfg)
+    cut = run_b_trigger(B, grid, cfg, max_step=11)
+    k = int(np.searchsorted(full.time, grid.times()[11], side="right"))
+    assert 0 < k < len(full)
+    for field in ("time", "bit", "overshoot"):
+        assert np.array_equal(getattr(cut, field), getattr(full, field)[:k]), field
+
+
+def test_bit_flood_raises_before_allocating():
+    grid = TimeGrid(1.0, 2)
+    B = np.array([0.0, 0.5, 1.0])
+    # 1e300 levels, then a quotient that overflows to inf
+    for delta, top in ((1e-300, 1.0), (5e-324, 1e12)):
+        with pytest.raises(MessageFlood, match="bit trigger"):
+            run_b_trigger(B * top, grid, symmetric(delta))
+
+
+def test_bit_cap_counts_the_whole_log(monkeypatch):
+    # a ramp is one leg of n messages; a driftless walk is many short legs
+    n = 100
+    ramp = np.arange(n + 1, dtype=float)
+    walk = np.concatenate(([0.0], np.cumsum(np.random.default_rng(3).standard_normal(20_000))))
+    for B, cfg in ((ramp, symmetric(1.0)), (walk, TriggerConfig(delta_up=2.0, delta_down=1.5))):
+        grid = TimeGrid(float(B.size - 1), B.size - 1)
+        want, _ = reference_scan(B, grid, cfg)
+        assert len(want) >= n
+        monkeypatch.setattr(triggers, "MAX_MESSAGES", len(want))
+        assert_same_messages(run_b_trigger(B, grid, cfg), want)
+        monkeypatch.setattr(triggers, "MAX_MESSAGES", len(want) - 1)
+        with pytest.raises(MessageFlood):
+            run_b_trigger(B, grid, cfg)
+
+
 def test_non_finite_statistic_rejected():
     grid = TimeGrid(1.0, 2)
     for bad in (np.inf, -np.inf, np.nan):
@@ -261,6 +339,31 @@ def test_max_level_caps_messages():
     A = grid.times().copy()
     assert len(run_a_trigger(A, grid, 1.0)) == 10
     assert len(run_a_trigger(A, grid, 1.0, max_level=4.5)) == 4
+
+
+def test_level_rounded_past_the_path_end_is_never_reached():
+    # 0.7 / 0.02 is exactly 35.0 in floats, but 35 * 0.02 = 0.7000000000000001
+    # lies above the path's end: 34 messages, where an index past the end
+    # used to raise IndexError
+    grid = TimeGrid(0.7, 7)
+    msgs = run_a_trigger(grid.times().copy(), grid, 0.02)
+    assert len(msgs) == 34
+    np.testing.assert_allclose(msgs.time, 0.02 * np.arange(1, 35), rtol=1e-12)
+
+
+def test_timing_flood_raises_before_allocating(monkeypatch):
+    grid = TimeGrid(10.0, 100)
+    A = grid.times().copy()
+    for c in (1e-300, 5e-324):
+        with pytest.raises(MessageFlood, match="timing trigger"):
+            run_a_trigger(A, grid, c)
+    monkeypatch.setattr(triggers, "MAX_MESSAGES", 10)
+    assert len(run_a_trigger(A, grid, 1.0)) == 10
+    monkeypatch.setattr(triggers, "MAX_MESSAGES", 9)
+    with pytest.raises(MessageFlood):
+        run_a_trigger(A, grid, 1.0)
+    # the cap counts the levels the stopping rule can read
+    assert len(run_a_trigger(A, grid, 1.0, max_level=9.5)) == 9
 
 
 # -- discrete sampling -----------------------------------------------------
