@@ -113,7 +113,11 @@ def _cmd_estimate(args) -> int:
     point = cfg.experiment.regime.points()[0]
     (out / "estimates.csv").write_text(estimates_csv_text(rows, replication=0, point=point))
     print(f"wrote {out / 'estimates.csv'}")
-    return 0
+    # a failed row holds nan values; its cause goes to stderr
+    failed = [r for r in rows if not r.ok]
+    for r in failed:
+        print(f"runtime error: {r.estimator}: {r.fail_reason}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def _cmd_experiment(args) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,9 +36,20 @@ from .fusion import (
     ESTIMATOR_NAMES,
     FusionState,
     centralized_estimates,
+    count_budget,
     reconstruct,
 )
-from .models import Model, ModelSpec, PathStats, TimeGrid, build_model, path_statistics, simulate_paths
+from .models import (
+    Model,
+    ModelSpec,
+    PathStats,
+    SensorPaths,
+    TimeGrid,
+    build_model,
+    path_statistics,
+    simulate_paths,
+    total_information,
+)
 from .triggers import (
     CONTINUOUS,
     DISCRETE,
@@ -439,11 +450,39 @@ def _stop(est, point, stats, no_bits):
 _NO_BITS = BMessages(time=np.empty(0), bit=np.empty(0, dtype=np.uint8), overshoot=np.empty(0))
 
 
-def _sequential_outcomes(estimators, point, stats: PathStats, model: Model, cfgs):
+def _through_stops(paths: SensorPaths, model: Model, point, cfgs) -> SensorPaths:
+    """The paths on the grid prefix that holds both sequential stops: up
+    to 2 steps past the first step where the total information reaches
+    gamma + c_total, or the whole paths when it never does there.
+
+    The reconstruction never falls more than c_total below the
+    information (tA > A - c_total, pathwise), so where A reaches
+    gamma + c_total tA has reached gamma > gamma - c_total and the
+    decentralized rule has stopped; the oracle stops where A first
+    reaches gamma.  A message stamped at t comes at a step of at most
+    ceil(t / dt) + 1, hence the 2 steps.  The prefix grid has the whole
+    grid's dt and times (``TimeGrid.prefix``), and cumulative sums are
+    running sums, so its statistics are the first values of the whole
+    paths' statistics; past the stops a path with random information can
+    grow like e^(lambda t) until its statistics blow up."""
+    A = total_information(paths, model)
+    reach = point + count_budget(model, cfgs)
+    m = int(np.argmax(A >= reach))
+    if not A[m] >= reach:
+        return paths
+    grid = paths.grid.prefix(m + 2)
+    if grid is paths.grid:
+        return paths
+    return SensorPaths(grid=grid, Y=paths.Y[:, :grid.n_steps + 1], lambda_true=paths.lambda_true)
+
+
+def _sequential_outcomes(estimators, point, stats: PathStats, model: Model, cfgs, horizon):
     """Each sequential estimator's outcome, and the fusion state the rows
     read: None when an estimator exhausts the horizon, which runs no bit
     trigger since the replication then starts again on a longer horizon
-    or fails.
+    or fails.  ``stats`` may cover a prefix of the attempt's grid
+    (``_through_stops``); the message log keeps the attempt's
+    ``horizon``.
 
     The timing triggers run first.  The decentralized stop reads only
     their log and the oracle's only the information path, so both stops
@@ -456,14 +495,15 @@ def _sequential_outcomes(estimators, point, stats: PathStats, model: Model, cfgs
     grid = stats.grid
     a_logs = _timing_logs(stats, model, cfgs, max_level=point)
     no_bits = FusionState(MessageLog(b=(_NO_BITS,) * model.K, a=a_logs, cfgs=cfgs,
-                                     horizon=grid.t_end), model)
+                                     horizon=horizon), model)
     outcomes, stops = zip(*(_stop(est, point, stats, no_bits) for est in estimators))
     if any(isinstance(o, HorizonExhausted) for o in outcomes):
         return outcomes, None
     stops = [t for t in stops if t is not None]
     last = min(grid.n_steps, math.ceil(max(stops) / grid.dt) + 1) if stops else 0
-    state = reconstruct(_with_bits(stats, model, cfgs, a_logs, max_step=last), model)
-    outcomes = [_outcome(est, point, grid.t_end, stats, state) if out is None else out
+    log = _with_bits(stats, model, cfgs, a_logs, max_step=last)
+    state = reconstruct(replace(log, horizon=horizon), model)
+    outcomes = [_outcome(est, point, horizon, stats, state) if out is None else out
                 for est, out in zip(estimators, outcomes)]
     return outcomes, state
 
@@ -473,8 +513,10 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
 
     In the sequential regime a replication whose horizon is too short
     for some estimator to stop is simulated again, from the same seed, on
-    a longer horizon, and its bit triggers run only up to the later stop
-    (``_sequential_outcomes``).  The other regimes run every trigger over
+    a longer horizon; each attempt computes its statistics only on the
+    grid prefix that holds both stops (``_through_stops``), and its bit
+    triggers run only up to the later stop (``_sequential_outcomes``).
+    The other regimes compute the statistics and run every trigger over
     the whole horizon.  A ``BitfuseError`` from the simulation, the
     statistics or the triggers (a ``MessageFlood``, say) fails every row
     of the replication.
@@ -492,10 +534,12 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
         attempt += 1
         try:
             paths = simulate_paths(model, cfg.lambda_true, cfg.grid_for(t_end), seed)
-            stats = path_statistics(paths, model)
             if sequential:
-                outcomes, state = _sequential_outcomes(cfg.estimators, point, stats, model, cfgs)
+                stats = path_statistics(_through_stops(paths, model, point, cfgs), model)
+                outcomes, state = _sequential_outcomes(cfg.estimators, point, stats, model, cfgs,
+                                                       t_end)
             else:
+                stats = path_statistics(paths, model)
                 state = None
                 if need_log:
                     log = _with_bits(stats, model, cfgs, _timing_logs(stats, model, cfgs))

@@ -50,6 +50,7 @@ __all__ = [
     "ESTIMATOR_NAMES",
     "EstimateResult",
     "FusionState",
+    "count_budget",
     "reconstruct",
     "estimate_fixed",
     "estimate_sequential",
@@ -124,16 +125,8 @@ class FusionState:
 
     @property
     def c_total(self) -> float:
-        """The count budget sum_i (1 + d_i) c_i: 0 when no sensor sends
-        timing messages, ``UnsupportedModel`` when the information is
-        random but the thresholds carry no timing increment (a
-        fixed-horizon log of a random-information model)."""
-        if self.model.deterministic_info:
-            return 0.0
-        if any(cfg.c is None for cfg in self.cfgs):
-            raise UnsupportedModel("information is random but the log has no timing increment c")
-        return float(sum((1 + self.model.d_counts[i]) * self.cfgs[i].c
-                         for i in range(self.model.K)))
+        """The count budget of the log's thresholds (``count_budget``)."""
+        return count_budget(self.model, self.cfgs)
 
     # -- reconstructed statistics ---------------------------------------
 
@@ -184,6 +177,19 @@ class FusionState:
         b = sum(int(np.searchsorted(times, t, side="right")) for times in self._b_times)
         a = sum(int(np.searchsorted(times, t, side="right")) for times in self._a_times)
         return b, a
+
+
+def count_budget(model: Model, cfgs) -> float:
+    """The count budget sum_i (1 + d_i) c_i, the most the total
+    information can exceed its reconstruction tA: 0 when no sensor sends
+    timing messages, ``UnsupportedModel`` when the information is random
+    but the thresholds carry no timing increment (a fixed-horizon log of
+    a random-information model)."""
+    if model.deterministic_info:
+        return 0.0
+    if any(cfg.c is None for cfg in cfgs):
+        raise UnsupportedModel("information is random but the log has no timing increment c")
+    return float(sum((1 + model.d_counts[i]) * cfgs[i].c for i in range(model.K)))
 
 
 def reconstruct(log: MessageLog, model: Model) -> FusionState:

@@ -68,6 +68,7 @@ __all__ = [
     "spec_fields",
     "simulate_paths",
     "path_statistics",
+    "total_information",
 ]
 
 _BLOWUP_CAP = 1e12
@@ -99,7 +100,26 @@ class TimeGrid:
         return self.t_end / self.n_steps
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_steps + 1)
+        """The n_steps + 1 grid times k * dt, ending at t_end: computed
+        once per grid and read-only, so every layer shares one array."""
+        times = self.__dict__.get("_times")
+        if times is None:
+            times = np.linspace(0.0, self.t_end, self.n_steps + 1)
+            times.flags.writeable = False
+            # a cache, not a field: equality, hashing and repr ignore it
+            object.__setattr__(self, "_times", times)
+        return times
+
+    def prefix(self, m: int) -> "TimeGrid":
+        """The grid of the first m' >= m steps, with this grid's dt and
+        first m' + 1 times bit for bit: m' is the least one at which
+        (m' dt) / m' rounds back to dt, which holds for almost every m.
+        This grid itself when m' reaches n_steps."""
+        dt = self.dt
+        for k in range(max(1, m), self.n_steps):
+            if (k * dt) / k == dt:
+                return TimeGrid(k * dt, k)
+        return self
 
     def stride(self, h: float) -> int:
         """The number of grid steps in the sampling period h.  Raises
@@ -209,12 +229,21 @@ class PathStats:
                 a.flags.writeable = False
 
     def value_at(self, arr: np.ndarray, t):
-        """Linear interpolation of a stored path array at times t."""
+        """Linear interpolation of a stored path array at times t.
+
+        At a scalar time only the bracketing step is passed to
+        ``np.interp``: it then searches two points instead of the grid
+        and does the same float operations on them."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t > self.grid.t_end * (1 + 1e-12)):
             raise GridMismatch("evaluation time outside simulated horizon")
-        out = np.interp(np.clip(t, 0.0, self.grid.t_end), self.grid.times(), arr)
-        return out if out.ndim else float(out)
+        t = np.clip(t, 0.0, self.grid.t_end)
+        times = self.grid.times()
+        if t.ndim:
+            return np.interp(t, times, arr)
+        # times[k - 1] <= t < times[k], or the last step when t is its end
+        k = min(int(times.searchsorted(t, "right")), times.size - 1)
+        return float(np.interp(t, times[k - 1:k + 1], arr[k - 1:k + 1]))
 
 
 class Model:
@@ -300,16 +329,18 @@ class _BrownianConstantModel(Model):
     def simulate(self, lam, grid, rng):
         # one sensor at a time through one n-long buffer: standard_normal
         # fills it in C order, so the draws are those of one (K, n) call
-        times = grid.times()
+        # the drift (lam x) t is formed in the same buffer once the row's
+        # cumsum has read the draws; adding it at t = 0 would add zero
+        times = grid.times()[1:]
         sdt = np.sqrt(grid.dt)
         noise = np.empty(grid.n_steps)
-        Y = np.empty((self.K, times.size))
+        Y = np.empty((self.K, grid.n_steps + 1))
         Y[:, 0] = 0.0
         for row, x in zip(Y, self.x):
             rng.standard_normal(out=noise)
             noise *= sdt
             np.cumsum(noise, out=row[1:])
-            row += (lam * x) * times
+            row[1:] += np.multiply(times, lam * x, out=noise)
         return Y
 
     def x_values(self, Y, times):
@@ -611,29 +642,71 @@ def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed) -> SensorPath
     return SensorPaths(grid=grid, Y=Y, lambda_true=float(lam))
 
 
+def _check_integrals(B_i):
+    # reductions, not abs(): no temporary of the array's size; NaN fails the test
+    if not (-_BLOWUP_CAP <= B_i.min() and B_i.max() <= _BLOWUP_CAP):
+        raise NumericalBlowup(f"integral B_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
+
+
+def _information(model: Model, grid: TimeGrid, Yl, tl, X):
+    """The per-sensor information rows (None when deterministic) and the
+    total A on ``grid``, from the path ``Yl``, times ``tl`` and weights
+    ``X`` at the left endpoints."""
+    times = grid.times()
+    if model.deterministic_info:
+        return None, model.det_info(times)
+
+    def random_part(i, j):
+        out = np.zeros(times.size)
+        np.cumsum(X[i] * X[j] * model.qv_density(i, j, Yl, tl) * grid.dt, out=out[1:])
+        return out
+
+    A_i = np.empty((model.K, times.size))
+    for i in range(model.K):
+        A_i[i] = random_part(i, i)
+    A = A_i.sum(axis=0)
+    # same summation order as over all off-diagonal pairs; the skipped
+    # pairs add exact zeros
+    for i, j in model.cross_pairs:
+        A = A + random_part(i, j)
+    return A_i, A
+
+
+def total_information(paths: SensorPaths, model: Model) -> np.ndarray:
+    """The total information A along a simulated path, the array
+    ``path_statistics`` gives, with no B_i, no per-sensor rows kept and
+    no blow-up check: a cumulative sum is a running sum, so the
+    statistics of a grid prefix (``TimeGrid.prefix``) give the first
+    values of this array bit for bit."""
+    Yl, tl = paths.Y[:, :-1], paths.grid.times()[:-1]
+    return _information(model, paths.grid, Yl, tl, model.x_values(Yl, tl))[1]
+
+
 def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     """Compute B_i, A_i and their totals B and A along a simulated path.
 
     Stochastic integrals are left-endpoint Riemann sums.  When the weights
     are constant (``model.x_values`` has one column) the sum telescopes,
-    so B_i is x_i (Y_i - Y_i(0)); time-varying weights are summed step by
-    step.  Deterministic information is the closed form: A is
-    ``model.det_info`` and ``A_i`` is None, its rows being
-    ``model.det_info_i``.  Random information accumulates the model's
-    diffusion coefficients, so the per-step cross-variation bound
-    |A_ij| <= (A_i + A_j)/2 holds exactly; A is the sum of the A_i plus
-    each pair of ``model.cross_pairs``, added as it is formed.  Memory is
-    K + 2 rows of the grid for deterministic information and 2K + 2 for
-    random information.  An integral B_i or an information A_i beyond
-    ``_BLOWUP_CAP`` raises ``NumericalBlowup``: the triggers could not
-    send the messages such a statistic asks for.
+    so B_i is x_i (Y_i - Y_i(0)); each such row is formed, checked and
+    added into B while it is in cache, starting from +0.0 and in sensor
+    order as ``B_i.sum(axis=0)`` adds, so B has the same bits.
+    Time-varying weights are summed step by step.  Deterministic
+    information is the closed form: A is ``model.det_info`` and ``A_i``
+    is None, its rows being ``model.det_info_i``.  Random information
+    accumulates the model's diffusion coefficients, so the per-step
+    cross-variation bound |A_ij| <= (A_i + A_j)/2 holds exactly; A is
+    the sum of the A_i plus each pair of ``model.cross_pairs``, added as
+    it is formed.  Memory is K + 2 rows of the grid for deterministic
+    information and 2K + 2 for random information.  An integral B_i or
+    an information A_i beyond ``_BLOWUP_CAP`` raises
+    ``NumericalBlowup``: the triggers could not send the messages such a
+    statistic asks for.
     """
     grid = paths.grid
     times = grid.times()
     K = model.K
     if paths.Y.shape != (K, times.size):
         raise GridMismatch("path array shape does not match grid and sensor count")
-    dt = grid.dt
     Y = paths.Y
     Yl, tl = Y[:, :-1], times[:-1]
     X = model.x_values(Yl, tl)
@@ -642,38 +715,26 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     if X.shape[1] == 1:
         # constant weights: the sum of X * dY telescopes; on a one-step
         # grid both forms are the same single term
-        np.subtract(Y, Y[:, :1], out=B_i)
-        B_i *= X
+        B = np.zeros(times.size)
+        for y, x, row in zip(Y, X, B_i):
+            np.subtract(y, y[0], out=row)
+            row *= x
+            _check_integrals(row)
+            B += row
     else:
         # the increments X * dY are formed and summed in place in B_i
         B_i[:, 0] = 0.0
         dB = np.subtract(Y[:, 1:], Yl, out=B_i[:, 1:])
         dB *= X
         np.cumsum(dB, axis=1, out=dB)
-    # reductions, not abs(): no K x (n+1) temporary; NaN fails the test
-    if not (-_BLOWUP_CAP <= B_i.min() and B_i.max() <= _BLOWUP_CAP):
-        raise NumericalBlowup(f"integral B_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
-    B = B_i.sum(axis=0)
+        _check_integrals(B_i)
+        B = B_i.sum(axis=0)
 
-    def random_part(i, j):
-        out = np.zeros(times.size)
-        np.cumsum(X[i] * X[j] * model.qv_density(i, j, Yl, tl) * dt, out=out[1:])
-        return out
-
-    if model.deterministic_info:
-        A_i = None
+    A_i, A = _information(model, grid, Yl, tl, X)
+    if A_i is None:
         A_end = [model.det_info_i(i, times[-1]) for i in range(K)]
-        A = model.det_info(times)
     else:
-        A_i = np.empty((K, times.size))
-        for i in range(K):
-            A_i[i] = random_part(i, i)
         A_end = A_i[:, -1]
-        A = A_i.sum(axis=0)
-        # same summation order as over all off-diagonal pairs; the skipped
-        # pairs add exact zeros
-        for i, j in model.cross_pairs:
-            A = A + random_part(i, j)
     # information is nondecreasing: its end values bound it, sensor by
     # sensor (a total with negative cross terms can sit below one A_i)
     if not np.all(np.asarray(A_end) <= _BLOWUP_CAP):

@@ -12,13 +12,19 @@ excursion restarts from the boundary value exactly, so the fusion-side
 reconstruction matches the statistic at every trigger time and the
 reconstruction gap stays below max(delta_up, delta_down) at every grid
 point by construction.  Continuous mode finds its messages a leg at a
-time: a leg is a run of same-direction crossings, located with a running
-maximum (or minimum) of the path and one search for all of the leg's
-boundaries.  Each leg starts at the exit that ends the leg before, so
-the cost is O(n) array passes plus one leg per change of direction, and
-a path that reverses at nearly every message pays a leg per message.  In
-discrete mode the statistic is inspected only every h time units, the
-message is stamped at the sampling instant, the reference jumps to the
+time: a leg is a run of same-direction crossings, scanned in windows of
+doubling length.  A short window is located with a running maximum (or
+minimum) of the path and one search for all of its boundaries.  A window
+of at least 4096 steps that holds at most one boundary per 64-step block
+is reduced to each block's maximum and minimum instead, and only the
+blocks that reach a boundary, and the stretches from the blocks that may
+hold the leg's turn, are scanned step by step.  Both scans compare the
+path's floats with the same boundaries, so they give the same messages.
+Each leg starts at the exit that ends the leg before, so the cost is
+O(n) array passes plus one leg per change of direction, and a path that
+reverses at nearly every message pays a leg per message.  In discrete
+mode the statistic is inspected only every h time units, the message is
+stamped at the sampling instant, the reference jumps to the
 sampled value, and the unobserved overshoot is recorded for diagnostics.
 
 A bit trigger can stop at a grid step: its messages are then the whole
@@ -137,6 +143,8 @@ class MessageLog:
 
 _WINDOW = 256  # first scan window, in grid steps
 _MAX_WINDOW = 1 << 20
+_BLOCK = 64  # steps per block of a long window's scan
+_BLOCK_WINDOW = 4096  # windows of at least this many steps are scanned by blocks
 # most bit or timing messages one sensor's log may hold: 2^22 messages
 # take 71 MB as a bit log (time, bit and overshoot) and 34 MB as a timing
 # log, so eight sensors' logs fit well inside 2 GiB
@@ -182,9 +190,10 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig,
     the running extreme of the path reaches it, until the path leaves
     the band through the other side; that turn is the first crossing of
     the next leg.  A leg costs a few array passes over the steps it
-    covers, so the cost is O(n) array work plus one Python step per
-    change of direction, instead of one per message.  A path that
-    reverses at nearly every message (no drift, a tight band) pays a
+    covers (block maxima and minima instead of a running extreme over
+    long windows, see ``_window``), so the cost is O(n) array work plus
+    one Python step per change of direction, instead of one per message.
+    A path that reverses at nearly every message (no drift, a tight band) pays a
     whole leg for each of them, up to about twice the cost of finding
     each exit by a windowed scan.
 
@@ -293,8 +302,10 @@ def _leg(B, start, ref, up, dup, ddn, window):
 
     Returns the crossing step indices, the boundary levels, and the first
     index where B leaves the band through the other side (None when the
-    leg runs to the end of the path).  A down leg is an up leg of -B;
-    negation is exact, so its levels are the same floats.
+    leg runs to the end of the path).  The leg is scanned in windows of
+    ``window`` steps, doubling from one to the next (``_window``).  A
+    down leg is an up leg of -B; negation is exact, so its levels are
+    the same floats.
     """
     step, back = (dup, ddn) if up else (ddn, dup)
     n = B.size
@@ -304,26 +315,12 @@ def _leg(B, start, ref, up, dup, ddn, window):
     room = MAX_MESSAGES
     while start < n:
         x = B[start:start + window]
-        if not up:
-            x = -x
-        top = np.maximum.accumulate(x)
-        levels = _levels(refx, step, top[-1], room)
-        # levels[m] is first reached at hit[m]
-        hit = top.searchsorted(levels)
-        # the band's lower edge at each index: the reference moves from
-        # refs[m] to refs[m + 1] = levels[m] just after index hit[m]
-        edges = np.empty(hit.size + 2, dtype=np.intp)
-        edges[0], edges[1:-1], edges[-1] = -1, hit, x.size - 1
-        refs = np.empty(hit.size + 1)
-        refs[0], refs[1:] = refx, levels
-        refs -= back
-        out = x <= refs.repeat(edges[1:] - edges[:-1])
-        d = out.argmax()
-        if out[d]:
+        hit, levels, d = _window(x, refx, step, back, room, up)
+        if d is not None:
             m = hit.searchsorted(d)
             idx.append(start + hit[:m])
             lev.append(levels[:m])
-            turn = start + int(d)
+            turn = start + d
             break
         idx.append(start + hit)
         lev.append(levels)
@@ -334,6 +331,91 @@ def _leg(B, start, ref, up, dup, ddn, window):
         window = min(2 * window, _MAX_WINDOW)
     levels = np.concatenate(lev)
     return np.concatenate(idx), levels if up else -levels, turn
+
+
+def _window(x, refx, step, back, room, up):
+    """One window ``x`` of a leg with reference ``refx`` (negated for a
+    down leg): the step at which each boundary level is first reached,
+    the levels up to the window's maximum, and the first step at or
+    below the band's lower edge (None when there is none).
+
+    A window of at least ``_BLOCK_WINDOW`` steps first reduces each
+    block of ``_BLOCK`` steps to its maximum and minimum, a cheaper pass
+    than a running maximum.  When it holds at most one level per block
+    it is scanned by blocks (``_blocks``); otherwise, and in a shorter
+    window, step by step: the running maximum of the path first reaches
+    each level at its crossing, and the reference moves to that level
+    just after it.  Both compare the same floats, so they give the same
+    steps.
+    """
+    levels = None
+    if x.size >= _BLOCK_WINDOW:
+        starts = np.arange(0, x.size, _BLOCK)
+        hi, lo = np.maximum.reduceat(x, starts), np.minimum.reduceat(x, starts)
+        top, low = (hi, lo) if up else (np.negative(lo, out=lo), np.negative(hi, out=hi))
+        np.maximum.accumulate(top, out=top)  # the running maximum at each block's end
+        levels = _levels(refx, step, top[-1], room)
+        if levels.size <= starts.size:
+            return _blocks(x, up, starts, top, low, levels, _edges(refx, levels, back))
+    v = x if up else -x
+    top = np.maximum.accumulate(v)
+    if levels is None:
+        levels = _levels(refx, step, top[-1], room)
+    hit = top.searchsorted(levels)
+    return hit, levels, _first_turn(v, 0, hit, _edges(refx, levels, back))
+
+
+def _blocks(x, up, starts, top, low, levels, refs):
+    """``_window`` by blocks: ``top`` and ``low`` are the running maximum
+    at each block's end and each block's minimum (of -x for a down leg),
+    ``refs`` the lower edges.  A level is first reached in the first
+    block whose running maximum reaches it, at the first step of that
+    block at or above it.  A block can hold the turn only if its minimum
+    lies at or below the edge in effect after its last crossing, the
+    block's highest; from the first such block on, the steps are
+    checked in stretches of doubling length until the turn is found."""
+    block = top.searchsorted(levels)
+    full = x.size // _BLOCK
+    rows = x[:full * _BLOCK].reshape(full, _BLOCK).take(block, axis=0, mode="clip")
+    if block.size and block[-1] == full:
+        # the short last block: its steps lead its rows, and one of them
+        # reaches each level first reached there
+        rows[block == full, :x.size - full * _BLOCK] = x[full * _BLOCK:]
+    reached = rows >= levels[:, None] if up else rows <= -levels[:, None]
+    hit = block * _BLOCK + reached.argmax(axis=1)
+    maybe = np.flatnonzero(low <= refs[block.searchsorted(np.arange(starts.size), "right")])
+    span, k = _BLOCK, 0
+    while k < maybe.size:
+        a = int(starts[maybe[k]])
+        v = x[a:a + span] if up else -x[a:a + span]
+        first, last = hit.searchsorted((a, a + v.size))
+        d = _first_turn(v, a, hit[first:last], refs[first:last + 1])
+        if d is not None:
+            return hit, levels, d
+        k = maybe.searchsorted(-(-(a + v.size) // _BLOCK))
+        span *= 2
+    return hit, levels, None
+
+
+def _edges(refx, levels, back):
+    """The band's lower edges: refx - back, then level - back after
+    each crossing."""
+    refs = np.empty(levels.size + 1)
+    refs[0], refs[1:] = refx, levels
+    refs -= back
+    return refs
+
+
+def _first_turn(v, a, hit, refs):
+    """The first step a + k at which v[k] lies at or below the lower edge
+    in effect there, or None: ``hit`` holds the crossings among those
+    steps, refs[0] is in effect up to the first of them and refs[m]
+    from just after crossing m - 1 through crossing m."""
+    bounds = np.empty(hit.size + 2, dtype=np.intp)
+    bounds[0], bounds[1:-1], bounds[-1] = a - 1, hit, a + v.size - 1
+    out = v <= refs.repeat(bounds[1:] - bounds[:-1])
+    k = out.argmax()
+    return a + int(k) if out[k] else None
 
 
 def _discrete_b_trigger(samples, sample_times, cfg):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from bitfuse.experiments import (
@@ -23,4 +25,5 @@ def brownian_k1_long_report():
         estimators=(DECENTRALIZED_FIXED, TIMING_ONLY),
         grid_steps_per_unit=20.0,
     )
-    return run_experiment(cfg)
+    # rows do not depend on the worker count; use every usable core
+    return run_experiment(cfg, threads=len(os.sched_getaffinity(0)))

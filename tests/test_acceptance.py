@@ -5,9 +5,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines, or
 equivalently ``bitfuse suite --name all`` from the command line.
 """
 
+import os
+
 import pytest
 
 from bitfuse.suites import run_suite
+
+# rows do not depend on the worker count (run_experiment sorts them by key)
+THREADS = len(os.sched_getaffinity(0))
 
 CRITERIA = (
     ("criterion-01 pathwise reconstruction bounds", "bounds"),
@@ -25,7 +30,7 @@ CRITERIA = (
 
 @pytest.mark.parametrize("label,suite", CRITERIA, ids=[c[0].split()[0] for c in CRITERIA])
 def test_acceptance_criterion(label, suite):
-    result = run_suite(suite)
+    result = run_suite(suite, threads=THREADS)
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status} {label}")
     for line in result.lines:

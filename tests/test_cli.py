@@ -227,6 +227,25 @@ def test_estimate_writes_rows(tmp_path):
     assert len(lines) == 3
 
 
+def test_estimate_with_failed_rows_names_their_causes_and_exits_2(tmp_path, capsys):
+    # a threshold of 1e-300 asks the bit trigger for ~1e300 messages, so
+    # both estimators' rows fail with MessageFlood
+    doc = minimal_doc(output=str(tmp_path / "flood"))
+    doc["model"] = {"kind": "brownian_constant", "K": 1, "x": [1.0]}
+    doc["experiment"]["regime"] = {
+        "type": "fixed_horizon",
+        "t_list": [5.0],
+        "delta_rule": {"a": 1e-300, "b": 0.25},
+    }
+    assert main(["estimate", "--config", _write_cfg(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, est in zip(err, ("decentralized_fixed", "centralized_fixed")):
+        assert line.startswith(f"runtime error: {est}: MessageFlood: the bit trigger")
+    lines = (tmp_path / "flood" / "estimates.csv").read_text().splitlines()
+    assert len(lines) == 3 and all(",nan," in line for line in lines[1:])
+
+
 def test_experiment_outputs_named_by_hash_and_seed(tmp_path):
     doc = minimal_doc(output=str(tmp_path / "exp"))
     cfg_path = _write_cfg(tmp_path, doc)

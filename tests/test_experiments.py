@@ -298,26 +298,38 @@ def test_fixed_horizon_on_random_information_gives_failed_rows():
 
 
 def test_statistics_flood_gives_failed_rows():
-    # replication 46 keeps max|Y| = 6.8e11, under the path cap, while one
-    # grid step moves B_i by ~2e21; the triggers used to ask for ~1e21
-    # messages at once (a 35 GiB allocation) and lose the whole run
-    cfg = ExperimentConfig(
-        model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 1.0)),
-        lambda_true=0.5,
-        regime=SequentialRegime(
-            gamma_list=(200.0,),
-            c_rule=PowerLawRule(0.5, 0.25),
-            delta_rule=PowerLawRule(0.5, 0.25),
-            initial_horizon=60.0,
-        ),
-        n_replications=100,
-        master_seed=11,
-        estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
-        grid_steps_per_unit=100.0,
-    )
-    rows = run_replication(cfg, 0, 46)
-    assert [r.estimator for r in rows] == [DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL]
-    assert all(not r.ok and r.fail_reason.startswith("NumericalBlowup") for r in rows)
+    # with lambda = 8 the integral B_i grows like lambda A: it passes the
+    # cap (1e12) while the information is ~1.25e11 and the path ~1e6, far
+    # under the path cap, so the statistics blow up before gamma = 5e11 is
+    # reached; the triggers would ask for ~1e11 messages and lose the run
+    def cfg(lam, gamma, horizon):
+        return ExperimentConfig(
+            model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 1.0)),
+            lambda_true=lam,
+            regime=SequentialRegime(
+                gamma_list=(gamma,),
+                c_rule=PowerLawRule(0.5, 0.25),
+                delta_rule=PowerLawRule(0.5, 0.25),
+                initial_horizon=horizon,
+            ),
+            n_replications=100,
+            master_seed=11,
+            estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
+            grid_steps_per_unit=100.0,
+        )
+
+    for rep in range(3):
+        rows = run_replication(cfg(8.0, 5e11, 3.0), 0, rep)
+        assert [r.estimator for r in rows] == [DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL]
+        assert all(not r.ok and r.fail_reason.startswith("NumericalBlowup: integral B_i")
+                   for r in rows)
+    # replication 46 here keeps max|Y| = 6.8e11, under the path cap, while
+    # one grid step moves B_i by ~2e21, but only after both stops (t ~ 10.3
+    # of 60): the statistics end 2 steps past where A reaches
+    # gamma + c_total, so its rows are ok (they failed while the statistics
+    # covered the whole horizon)
+    rows = run_replication(cfg(0.5, 200.0, 60.0), 0, 46)
+    assert all(r.ok and r.stop_time < 10.4 and r.horizon == 60.0 for r in rows)
 
 
 def test_message_flood_gives_failed_rows():
@@ -376,6 +388,38 @@ def test_sequential_rows_equal_rows_from_whole_horizon_logs(monkeypatch, spec, l
         for bp, bw in zip(part.b, whole.b):
             for field in ("time", "bit", "overshoot"):
                 assert np.array_equal(getattr(bp, field), getattr(bw, field)[: len(bp)]), field
+
+
+@pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])
+def test_sequential_statistics_end_past_both_stops(monkeypatch, spec, lam):
+    # the statistics of a sequential attempt cover the grid prefix that
+    # holds both stops; rows built from whole-horizon statistics must be
+    # the same bytes, extended replications included
+    cfg = ExperimentConfig(
+        model=spec,
+        lambda_true=lam,
+        regime=SequentialRegime(gamma_list=(3.0, 8.0), c_rule=PowerLawRule(0.3, 0.25),
+                                delta_rule=PowerLawRule(0.3, 0.25), initial_horizon=2.0),
+        n_replications=6,
+        master_seed=5,
+        estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
+        grid_steps_per_unit=200.0,
+    )
+    steps = []
+    compute = experiments.path_statistics
+
+    def spy(paths, model):
+        steps.append(paths.grid.n_steps)
+        return compute(paths, model)
+
+    monkeypatch.setattr(experiments, "path_statistics", spy)
+    cut = run_experiment(cfg)
+    assert all(r.ok for r in cut.rows)
+    cut_steps, steps[:] = steps[:], []
+    monkeypatch.setattr(experiments, "_through_stops", lambda paths, model, point, cfgs: paths)
+    assert rows_csv_text(run_experiment(cfg)) == rows_csv_text(cut)
+    assert len(steps) == len(cut_steps)
+    assert all(c <= w for c, w in zip(cut_steps, steps)) and sum(cut_steps) < sum(steps)
 
 
 # the child limits its own address space before it imports numpy

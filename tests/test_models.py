@@ -171,7 +171,7 @@ def test_brownian_rows_match_one_whole_array_draw():
     want = np.zeros((3, 1001))
     want[:, 1:] = np.cumsum(noise, axis=1)
     want += 0.7 * m.x[:, None] * grid.times()[None, :]
-    np.testing.assert_array_equal(Y, want)
+    assert Y.tobytes() == want.tobytes()
 
 
 def test_statistics_blowup_detection():
@@ -231,6 +231,56 @@ def test_zero_path_gives_zero_integral_and_score_identity():
     assert np.all(s.B == 0.0)
     # B = 0, so the score B - lam A is -lam A, with A the closed form
     np.testing.assert_array_equal(s.A, m.det_info(grid.times()))
+
+
+def test_grid_times_are_computed_once_and_read_only():
+    grid = TimeGrid(3.0, 7)
+    times = grid.times()
+    assert grid.times() is times
+    assert not times.flags.writeable
+    with pytest.raises(ValueError):
+        times[1] = 0.5
+    assert np.array_equal(times, np.linspace(0.0, 3.0, 8))
+    # the cached array is no field of the grid
+    assert grid == TimeGrid(3.0, 7) and hash(grid) == hash(TimeGrid(3.0, 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_end=st.floats(1e-3, 1e6), n=st.integers(1, 3000), m=st.integers(0, 3000))
+# (50 dt) / 50 and (51 dt) / 51 round away from dt = 0.0007: 52 steps
+@example(t_end=0.7, n=1000, m=50)
+def test_prefix_grid_keeps_the_grids_dt_and_first_times(t_end, n, m):
+    grid = TimeGrid(t_end, n)
+    part = grid.prefix(m)
+    k = part.n_steps
+    assert part.dt == grid.dt
+    assert part.times().tobytes() == grid.times()[:k + 1].tobytes()
+    assert k == n if part is grid else max(1, m) <= k < n
+    # the least step count at or past m with the same dt
+    dt = grid.dt
+    assert all((j * dt) / j != dt for j in range(max(1, m), k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t_end=st.floats(1e-3, 1e4),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+)
+def test_value_at_a_scalar_time_is_np_interp_on_the_grid(t_end, n, seed, where):
+    grid = TimeGrid(t_end, n)
+    times = grid.times()
+    arr = np.cumsum(np.random.default_rng(seed).standard_normal(n + 1))
+    stats = PathStats(grid=grid, B_i=arr[None, :].copy(), A_i=None, B=arr.copy(), A=arr.copy())
+    k = np.random.default_rng(seed).integers(0, n + 1, 3)
+    ts = [0.0, t_end, t_end * (1 + 1e-13), *times[k], *(w * t_end for w in where)]
+    for t in ts:
+        got = stats.value_at(stats.B, t)
+        want = np.interp(min(t, t_end), times, arr)
+        assert type(got) is float and np.float64(got).tobytes() == want.tobytes(), t
+    got = stats.value_at(stats.B, np.array(ts))
+    assert got.tobytes() == np.interp(np.clip(ts, 0.0, t_end), times, arr).tobytes()
 
 
 def test_grid_mismatch_raises():
@@ -373,7 +423,9 @@ def test_constant_weight_integral_is_the_riemann_sum(spec, lam, n, t_end, seed):
     eps = np.finfo(float).eps
     tol = np.arange(n + 1) * eps * size + eps * np.abs(s.B_i)
     assert np.all(np.abs(s.B_i - ref) <= tol)
-    np.testing.assert_array_equal(s.B, s.B_i.sum(axis=0))
+    # bit for bit, signed zeros included (a negative weight times a zero
+    # increment is -0.0)
+    assert s.B.tobytes() == s.B_i.sum(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])

@@ -218,6 +218,93 @@ def test_driftless_walk_with_many_reversals_matches_reference_scan(monkeypatch):
 
 
 @st.composite
+def long_leg_cases(draw):
+    """A lattice path that climbs (or falls) steadily through its band,
+    with a few drops against its drift of one or more bands, and blocks
+    and windows a few steps long, so that its legs run over several
+    windows scanned by blocks of 1 to 8 steps."""
+    n = draw(st.integers(1, 400))
+    unit = draw(st.sampled_from([0.25, 1.0, 0.1]))
+    dup = unit * draw(st.integers(1, 6))
+    ddn = dup if draw(st.booleans()) else unit * draw(st.integers(1, 6))
+    steps = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2) | st.integers(0, 12)))
+    drops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 40)), max_size=4))
+    for k, size in drops:
+        steps[k] = -size
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    B = sign * unit * np.concatenate(([0], np.cumsum(steps))).astype(float)
+    block = draw(st.integers(1, 8))
+    sizes = dict(_BLOCK=block, _BLOCK_WINDOW=block * draw(st.integers(1, 4)),
+                 _WINDOW=draw(st.integers(1, 16)))
+    return B, TimeGrid(float(n), n), TriggerConfig(delta_up=dup, delta_down=ddn), sizes
+
+
+@settings(max_examples=400, deadline=None)
+@given(long_leg_cases())
+def test_block_scan_matches_reference_scan(case):
+    B, grid, cfg, sizes = case
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in sizes.items():
+            mp.setattr(triggers, name, value)
+        msgs = run_b_trigger(B, grid, cfg)
+    assert_same_messages(msgs, reference_scan(B, grid, cfg)[0])
+    assert_band_invariants(B, grid, cfg, msgs)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_block_scan_turns_at_every_step_of_a_block(monkeypatch, sign):
+    # a ramp of 1/4 per step crosses a band of 1.25 every 5 steps, so
+    # with blocks of 4 steps its crossings fall on each step of a block;
+    # a drop of 4 bands at each step in turn reverses the leg there
+    monkeypatch.setattr(triggers, "_BLOCK", 4)
+    monkeypatch.setattr(triggers, "_BLOCK_WINDOW", 8)
+    monkeypatch.setattr(triggers, "_WINDOW", 8)
+    turns = []
+    blocks = triggers._blocks
+
+    def spy(*args):
+        out = blocks(*args)
+        turns.append(out[2])
+        return out
+
+    monkeypatch.setattr(triggers, "_blocks", spy)
+    n = 120
+    grid = TimeGrid(float(n), n)
+    cfg = symmetric(1.25)
+    ramp = 0.25 * np.arange(n + 1)
+    for turn in range(20, 80):
+        B = ramp.copy()
+        B[turn:] -= 5.0
+        B *= sign
+        msgs = run_b_trigger(B, grid, cfg)
+        want, steps = reference_scan(B, grid, cfg)
+        assert_same_messages(msgs, want)
+        assert turn in steps and msgs.bit[np.searchsorted(steps, turn)] == (sign < 0)
+    assert {t % 4 for t in turns if t is not None} == {0, 1, 2, 3}
+
+
+def test_long_windows_are_scanned_by_blocks(monkeypatch):
+    # a drifting Brownian statistic at the fixed-horizon benchmark's
+    # scale: one up leg of about a thousand crossings over 200k steps
+    calls = []
+    blocks = triggers._blocks
+
+    def spy(*args):
+        calls.append(args[0].size)
+        return blocks(*args)
+
+    monkeypatch.setattr(triggers, "_blocks", spy)
+    n = 200_000
+    grid = TimeGrid(n / 20, n)
+    rng = np.random.default_rng(11)
+    B = np.concatenate(([0.0], np.cumsum(0.05 + np.sqrt(0.05) * rng.standard_normal(n))))
+    cfg = symmetric(10.0)
+    msgs = run_b_trigger(B, grid, cfg)
+    assert_same_messages(msgs, reference_scan(B, grid, cfg)[0])
+    assert len(msgs) > 900 and sum(calls) > 0.9 * n
+
+
+@st.composite
 def prefix_cases(draw):
     """A lattice path on a grid of step 1, 0.1, 1/3 or 0.7, and a step m
     to end the scan at: most often next to one of the path's crossing
