@@ -68,10 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _threads(args) -> int:
+    """The worker count asked for; ``run_experiment`` bounds the pool."""
     if getattr(args, "threads", None):
         return max(1, args.threads)
     env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise InvalidSpec(f"{THREADS_ENV} must be an integer, got {env!r}") from None
 
 
 def _load_config(args) -> RunConfig:
@@ -121,10 +127,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    threads = _threads(args)
     cfg = _load_config(args)
     out = _outdir(cfg)
     digest = config_hash(cfg)
-    report = run_experiment(cfg.experiment, threads=_threads(args))
+    report = run_experiment(cfg.experiment, threads=threads)
     seed = cfg.experiment.master_seed
     rows_path = out / f"rows_{digest}_{seed}.csv"
     summary_path = out / f"summary_{digest}_{seed}.json"

@@ -5,8 +5,11 @@ sequential, or discrete sampling), threshold rules, and a replication
 count.  Replications use independent counter-style RNG streams derived
 from (master_seed, point_index, replication_index), so results do not
 depend on execution order and replications can run in parallel
-processes.  Failed replications are flagged and listed, never silently
-resampled.
+processes.  Failed replications are flagged and listed.  A sequential
+replication whose horizon is too short for an estimator to stop is
+simulated again from the same seed on a longer grid, which draws other
+noise: the path kept is the first one that stops, so the extensions
+select on the stopping time.
 
 Threshold rules are explicit power laws u -> a * u^b applied per sensor
 (the asymptotic statements only constrain rates, so exponents are
@@ -20,8 +23,9 @@ its points.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +57,6 @@ from .models import (
 from .triggers import (
     CONTINUOUS,
     DISCRETE,
-    BMessages,
     MessageLog,
     TriggerConfig,
     run_a_trigger,
@@ -80,6 +83,10 @@ __all__ = [
 ]
 
 _MAX_HORIZON_EXTENSIONS = 64
+# most sensors x grid steps on a replication's starting grid: a
+# replication peaks at up to ~110 bytes a sensor step (OU and Gaussian
+# kinds, K = 2), so ~0.9 GB here
+MAX_SENSOR_STEPS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -229,8 +236,9 @@ class ExperimentConfig:
     master_seed that is not a nonnegative integer, a lambda_true that is
     not finite, fewer than 2 replications, a grid refinement that is not
     finite and positive, unknown estimators or none, estimators the
-    regime does not accept, and sampling periods that are not a whole
-    number of steps of the horizon's grid (``TimeGrid.stride``)."""
+    regime does not accept, a point whose starting grid holds more than
+    ``MAX_SENSOR_STEPS`` sensor steps, and sampling periods that are not
+    a whole number of steps of the horizon's grid (``TimeGrid.stride``)."""
 
     model: ModelSpec
     lambda_true: float
@@ -258,10 +266,19 @@ class ExperimentConfig:
         bad = [e for e in self.estimators if e not in self.regime.estimators]
         if bad:
             raise InvalidSpec(f"estimators {bad} do not apply to a {self.regime.kind} regime")
-        if self.regime.kind == "discrete_sampling":
-            grid = self.grid_for(self.regime.t)
-            for h in self.regime.points():
-                grid.stride(h)
+        # no model when the run-file parser lists a rejected model's
+        # violations and the experiment's
+        K = 1 if self.model is None else self.model.K
+        for point in self.regime.points():
+            t = self.regime.horizon(point)
+            # a step count past the budget may overflow the grid's rounding
+            steps = t * self.grid_steps_per_unit
+            steps = steps if steps > MAX_SENSOR_STEPS else self.grid_for(t).n_steps
+            if K * steps > MAX_SENSOR_STEPS:
+                raise InvalidSpec(f"{K} sensors x {steps:g} grid steps on the horizon {t:g} "
+                                  f"exceed the budget of {MAX_SENSOR_STEPS} sensor steps")
+            if self.regime.kind == "discrete_sampling":
+                self.grid_for(t).stride(point)
 
     def grid_for(self, t_end: float) -> TimeGrid:
         n = max(1, int(round(t_end * self.grid_steps_per_unit)))
@@ -338,19 +355,16 @@ def ks_test(sample):
     return D, p
 
 
-def _timing_logs(stats: PathStats, model: Model, cfgs, max_level=None):
-    """Each sensor's timing messages, up to information ``max_level``."""
-    return tuple(run_a_trigger(None if stats.A_i is None else stats.A_i[i], stats.grid, cfgs[i].c,
-                               max_level=max_level)
-                 for i in range(model.K))
-
-
-def _with_bits(stats: PathStats, model: Model, cfgs, a_logs, max_step=None) -> MessageLog:
-    """The log of ``a_logs`` and each sensor's bits up to grid step
-    ``max_step`` (the whole horizon when None)."""
-    b_logs = tuple(run_b_trigger(stats.B_i[i], stats.grid, cfgs[i], max_step=max_step)
+def _messages(stats: PathStats, model: Model, cfgs, horizon, max_level) -> FusionState:
+    """The fusion state of every sensor's timing messages, up to
+    information ``max_level`` (all of them when None), and bit messages
+    over the statistics' grid, in a log with the attempt's ``horizon``."""
+    grid = stats.grid
+    a_logs = tuple(run_a_trigger(None if stats.A_i is None else stats.A_i[i], grid, cfgs[i].c,
+                                 max_level=max_level)
                    for i in range(model.K))
-    return MessageLog(b=b_logs, a=a_logs, cfgs=cfgs, horizon=stats.grid.t_end)
+    b_logs = tuple(run_b_trigger(stats.B_i[i], grid, cfgs[i]) for i in range(model.K))
+    return reconstruct(MessageLog(b=b_logs, a=a_logs, cfgs=cfgs, horizon=horizon), model)
 
 
 def _row(point, rep, est, result, lam, std_scale, a_at_stop, state, horizon, t_eval):
@@ -413,6 +427,10 @@ def _estimate(est, point, t_end, stats, state):
         if state.model.deterministic_info:
             return res, res.info_used, res.stop_time
         return res, float(stats.value_at(stats.A, res.stop_time)), res.stop_time
+    if est == CENTRALIZED_SEQUENTIAL:
+        res = centralized_estimates(stats, gamma=point)[0]
+        # A equals gamma at the oracle's stop
+        return res, point, res.stop_time
     if est == CENTRALIZED_FIXED:
         res = centralized_estimates(stats, t=t_end)[0]
     elif est == DECENTRALIZED_FIXED:
@@ -422,32 +440,15 @@ def _estimate(est, point, t_end, stats, state):
     return res, float(stats.A[-1]), t_end
 
 
+# the estimators that read the paths, never a message
+_ORACLES = (CENTRALIZED_FIXED, CENTRALIZED_SEQUENTIAL)
+
+
 def _outcome(est, point, t_end, stats, state):
     try:
         return _estimate(est, point, t_end, stats, state)
     except BitfuseError as exc:
         return exc
-
-
-def _stop(est, point, stats, no_bits):
-    """A sequential estimator's outcome as far as it is known before any
-    bit is sent, and its stop time: the oracle's whole outcome; None for
-    the decentralized estimator, estimated once the bits up to its stop
-    are sent; or the error that ends it, with no stop.  An error caught
-    here references only this frame, so it forms no reference cycle with
-    the caller's outcome list."""
-    try:
-        if est == CENTRALIZED_SEQUENTIAL:
-            res = centralized_estimates(stats, gamma=point)[0]
-            # A equals gamma at the oracle's stop
-            return (res, point, res.stop_time), res.stop_time
-        return None, fusion._sequential_stop(no_bits, point)[0]
-    except BitfuseError as exc:
-        return exc, None
-
-
-# a sensor's bit log before any bit is sent
-_NO_BITS = BMessages(time=np.empty(0), bit=np.empty(0, dtype=np.uint8), overshoot=np.empty(0))
 
 
 def _through_stops(paths: SensorPaths, model: Model, point, cfgs) -> SensorPaths:
@@ -471,53 +472,21 @@ def _through_stops(paths: SensorPaths, model: Model, point, cfgs) -> SensorPaths
     if not A[m] >= reach:
         return paths
     grid = paths.grid.prefix(m + 2)
-    if grid is paths.grid:
-        return paths
     return SensorPaths(grid=grid, Y=paths.Y[:, :grid.n_steps + 1], lambda_true=paths.lambda_true)
-
-
-def _sequential_outcomes(estimators, point, stats: PathStats, model: Model, cfgs, horizon):
-    """Each sequential estimator's outcome, and the fusion state the rows
-    read: None when an estimator exhausts the horizon, which runs no bit
-    trigger since the replication then starts again on a longer horizon
-    or fails.  ``stats`` may cover a prefix of the attempt's grid
-    (``_through_stops``); the message log keeps the attempt's
-    ``horizon``.
-
-    The timing triggers run first.  The decentralized stop reads only
-    their log and the oracle's only the information path, so both stops
-    are known before any bit is sent.  No row reads a bit stamped after
-    its estimator's stop, so the bit triggers scan only the grid prefix
-    that holds every message up to the later stop (``run_b_trigger``'s
-    ``max_step``); past the stop a path can send thousands of bits that
-    nothing reads.
-    """
-    grid = stats.grid
-    a_logs = _timing_logs(stats, model, cfgs, max_level=point)
-    no_bits = FusionState(MessageLog(b=(_NO_BITS,) * model.K, a=a_logs, cfgs=cfgs,
-                                     horizon=horizon), model)
-    outcomes, stops = zip(*(_stop(est, point, stats, no_bits) for est in estimators))
-    if any(isinstance(o, HorizonExhausted) for o in outcomes):
-        return outcomes, None
-    stops = [t for t in stops if t is not None]
-    last = min(grid.n_steps, math.ceil(max(stops) / grid.dt) + 1) if stops else 0
-    log = _with_bits(stats, model, cfgs, a_logs, max_step=last)
-    state = reconstruct(replace(log, horizon=horizon), model)
-    outcomes = [_outcome(est, point, horizon, stats, state) if out is None else out
-                for est, out in zip(estimators, outcomes)]
-    return outcomes, state
 
 
 def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     """Run one replication at one regime point; returns (rows, warnings).
 
-    In the sequential regime a replication whose horizon is too short
-    for some estimator to stop is simulated again, from the same seed, on
-    a longer horizon; each attempt computes its statistics only on the
-    grid prefix that holds both stops (``_through_stops``), and its bit
-    triggers run only up to the later stop (``_sequential_outcomes``).
-    The other regimes compute the statistics and run every trigger over
-    the whole horizon.  A ``BitfuseError`` from the simulation, the
+    An attempt simulates the paths on its horizon, cuts them in the
+    sequential regime to the grid prefix that holds both stops
+    (``_through_stops``), computes their statistics and runs the oracles,
+    which read no message.  Unless an oracle has exhausted the horizon,
+    every sensor's triggers then run over the statistics' grid
+    (``_messages``) for the estimators that read messages.  In the
+    sequential regime an attempt whose horizon is too short for some
+    estimator to stop is followed by one on a longer horizon, simulated
+    from the same seed.  A ``BitfuseError`` from the simulation, the
     statistics or the triggers (a ``MessageFlood``, say) fails every row
     of the replication.
     """
@@ -535,16 +504,15 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
         try:
             paths = simulate_paths(model, cfg.lambda_true, cfg.grid_for(t_end), seed)
             if sequential:
-                stats = path_statistics(_through_stops(paths, model, point, cfgs), model)
-                outcomes, state = _sequential_outcomes(cfg.estimators, point, stats, model, cfgs,
-                                                       t_end)
-            else:
-                stats = path_statistics(paths, model)
-                state = None
-                if need_log:
-                    log = _with_bits(stats, model, cfgs, _timing_logs(stats, model, cfgs))
-                    state = reconstruct(log, model)
-                outcomes = [_outcome(est, point, t_end, stats, state) for est in cfg.estimators]
+                paths = _through_stops(paths, model, point, cfgs)
+            stats = path_statistics(paths, model)
+            outcomes = [_outcome(est, point, t_end, stats, None) if est in _ORACLES else None
+                        for est in cfg.estimators]
+            state = None
+            if need_log and not any(isinstance(o, HorizonExhausted) for o in outcomes):
+                state = _messages(stats, model, cfgs, t_end, point if sequential else None)
+                outcomes = [_outcome(est, point, t_end, stats, state) if out is None else out
+                            for est, out in zip(cfg.estimators, outcomes)]
         except BitfuseError as exc:
             return [_failed_row(point, rep, est, t_end, exc) for est in cfg.estimators], []
         exhausted = [o for o in outcomes if isinstance(o, HorizonExhausted)]
@@ -587,14 +555,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
 
     Deterministic for a fixed master_seed regardless of thread count or
     completion order: rows are keyed by (point, replication) and sorted
-    before aggregation.
+    before aggregation.  The pool has at most one worker process per task
+    and per usable core, whatever ``threads`` asks for: a forked pool
+    starts all of its workers at the first task.
     """
     points = cfg.regime.points()
     tasks = [(cfg, pi, rep) for pi in range(len(points)) for rep in range(cfg.n_replications)]
-    results = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(tasks) // (8 * threads))
+    workers = min(threads, len(tasks), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (8 * workers))
             results = list(pool.map(_replicate_star, tasks, chunksize=chunk))
     else:
         results = [_replicate(*t) for t in tasks]

@@ -231,23 +231,6 @@ def estimate_sequential(state: FusionState, gamma: float) -> EstimateResult:
     that pushed tA over the target; with deterministic information it is
     the exact threshold time.
     """
-    stop, info = _sequential_stop(state, gamma)
-    if info == 0.0:
-        raise ZeroInformation("reconstructed information is zero at the stop time")
-    value = float(state.tB(stop)) / info
-    return EstimateResult(
-        estimator=DECENTRALIZED_SEQUENTIAL,
-        value=value,
-        stop_time=stop,
-        info_used=info,
-        messages_used=sum(state.message_counts(stop)),
-    )
-
-
-def _sequential_stop(state: FusionState, gamma: float):
-    """The sequential rule's stop time and tA there.  It reads the timing
-    messages and the model only, never the bits, so the replication
-    engine finds the stop before it runs the bit triggers."""
     model = state.model
     c = state.c_total
     if not gamma > c:
@@ -282,7 +265,16 @@ def _sequential_stop(state: FusionState, gamma: float):
                                    "lengthen the horizon")
         stop = float(cand[hit[0]])
         info = float(vals[hit[0]])
-    return stop, info
+    if info == 0.0:
+        raise ZeroInformation("reconstructed information is zero at the stop time")
+    value = float(state.tB(stop)) / info
+    return EstimateResult(
+        estimator=DECENTRALIZED_SEQUENTIAL,
+        value=value,
+        stop_time=stop,
+        info_used=info,
+        messages_used=sum(state.message_counts(stop)),
+    )
 
 
 def estimate_timing_only(state: FusionState, t: float) -> EstimateResult:

@@ -27,10 +27,7 @@ mode the statistic is inspected only every h time units, the message is
 stamped at the sampling instant, the reference jumps to the
 sampled value, and the unobserved overshoot is recorded for diagnostics.
 
-A bit trigger can stop at a grid step: its messages are then the whole
-path's messages up to that step, so a caller that reads only the
-messages before some time scans only the prefix that holds them.  A
-continuous bit trigger or a timing trigger that would put more than
+A continuous bit trigger or a timing trigger that would put more than
 ``MAX_MESSAGES`` messages in one sensor's log raises ``MessageFlood``
 instead of allocating them; a discrete one sends at most one message per
 sample.
@@ -172,8 +169,7 @@ def _first_exit_index(B: np.ndarray, start: int, hi: float, lo: float, window: i
     return None
 
 
-def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig,
-                  max_step: int | None = None) -> BMessages:
+def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMessages:
     """Run the bit trigger over one sensor's integral statistic.
 
     Continuous mode: a crossing is detected at the first grid step where
@@ -202,14 +198,6 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig,
     the sampling instant, the reference restarts from the sampled value,
     and the overshoot beyond the threshold is recorded.
 
-    ``max_step`` optionally ends the scan at grid index max_step.  The
-    messages are then exactly those of the whole path at steps up to
-    max_step, their times formed with the whole grid's dt, and
-    ``pending`` is the residual at that step.  A continuous message at
-    step j is stamped in ((j - 1) dt, j dt], so a scan to step
-    ceil(t / dt) + 1 holds every message stamped at or before t, with a
-    step to spare for rounding.
-
     A path with an infinite or NaN value is rejected (``InvalidSpec``).
     In continuous mode a log that would pass ``MAX_MESSAGES`` raises
     ``MessageFlood``, and no leg allocates more levels than that;
@@ -218,17 +206,13 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig,
     B = np.asarray(B_path, dtype=float)
     if B.size != grid.n_steps + 1:
         raise InvalidSpec("statistic path length does not match the grid")
-    if max_step is not None:
-        if not 0 <= max_step <= grid.n_steps:
-            raise InvalidSpec(f"max_step must lie in [0, {grid.n_steps}], got {max_step}")
-        B = B[:max_step + 1]
     # reductions: no temporary of the path's size; NaN fails the test
     if not (-np.inf < B.min() and B.max() < np.inf):
         raise InvalidSpec("statistic path must be finite")
     if cfg.mode == DISCRETE:
         stride = grid.stride(cfg.h)
         samples = B[::stride]
-        sample_times = grid.times()[:B.size:stride]
+        sample_times = grid.times()[::stride]
         return _discrete_b_trigger(samples, sample_times, cfg)
     return _continuous_b_trigger(B, grid, cfg)
 

@@ -60,3 +60,19 @@ def test_audit_fields_the_benchmark_reads_exist(workloads):
 )
 def test_declared_workload_builds_and_warms_up(workloads, name):
     workloads.WORKLOADS[name](1).warmup()
+
+
+@pytest.mark.parametrize(
+    "name", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+)
+def test_traced_block_leaves_spans_in_every_expected_layer(workloads, name):
+    # the tracer wraps the names the engine looks up at call time; an
+    # engine that stops calling one of them leaves its layer without spans
+    tr = workloads.tr
+    wl = workloads.WORKLOADS[name](1)
+    tracer, tally = tr.Tracer(), workloads.Tally()
+    with tracer.installed(wl.calls):
+        # no timed seconds and no wall budget: exactly one block
+        wl.run(tally, 0.0, tracer=tracer, budget=0.0)
+    assert len(tally.block_rates) == 1 and tally.failed == tally.violations == 0
+    assert tr.expected_layers(wl.calls) <= tracer.layers()

@@ -406,3 +406,46 @@ def test_threads_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BITFUSE_THREADS", "2")
     assert main(["experiment", "--config", cfg_path]) == 0
     assert next((tmp_path / "envrun").glob("rows_*.csv")).read_bytes() == rows
+
+
+def test_non_integer_threads_env_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BITFUSE_THREADS", "abc")
+    doc = minimal_doc(output=str(tmp_path / "out"))
+    assert main(["experiment", "--config", _write_cfg(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "BITFUSE_THREADS" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _k1_sequential(doc):
+    doc["model"] = {"kind": "ornstein_uhlenbeck", "K": 1, "alpha": [1.0]}
+    doc["experiment"].update(
+        regime={"type": "sequential", "gamma_list": [5.0], "c_rule": {"a": 0.5, "b": 0.25},
+                "delta_rule": {"a": 0.5, "b": 0.25}, "initial_horizon": 1e9},
+        estimators=["decentralized_sequential"])
+
+
+# a starting grid far past the sensor-steps budget; each ended in a
+# numpy MemoryError or ValueError traceback before the budget was checked
+OVER_BUDGET = {
+    "t_list_1e9": lambda doc: _regime(doc).update(t_list=[1e9]),
+    "initial_horizon_1e9": _k1_sequential,
+    "grid_steps_per_unit_1e300": lambda doc: doc["experiment"].update(grid_steps_per_unit=1e300),
+}
+
+
+@pytest.mark.parametrize("case", list(OVER_BUDGET))
+def test_work_past_the_budget_exits_1_under_a_memory_limit(tmp_path, case):
+    doc = minimal_doc(output=str(tmp_path / "out"))
+    doc["model"] = {"kind": "brownian_constant", "K": 1, "x": [1.0]}
+    _regime(doc).update(t_list=[5.0])
+    OVER_BUDGET[case](doc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", LIMITED_MAIN, "estimate", "--config",
+                          _write_cfg(tmp_path, doc)], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert res.returncode == 1, res.stderr
+    assert "budget" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()

@@ -149,6 +149,8 @@ def test_readme_quick_start_runs(capsys):
 positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
 rules = st.builds(PowerLawRule, a=positive, b=st.floats(-2.0, 2.0, allow_nan=False))
 points = st.lists(positive, min_size=1, max_size=4).map(tuple)
+# 3 sensors x 64 steps per unit x 1e4 is within the sensor-steps budget
+horizons = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -156,10 +158,11 @@ def regimes(draw):
     which = draw(st.sampled_from(("fixed_horizon", "sequential", "discrete_sampling")))
     spu = float(draw(st.integers(1, 64)))
     if which == "fixed_horizon":
-        regime = FixedHorizonRegime(t_list=draw(points), delta_rule=draw(rules))
+        t_list = tuple(draw(st.lists(horizons, min_size=1, max_size=4)))
+        regime = FixedHorizonRegime(t_list=t_list, delta_rule=draw(rules))
         ests = (DECENTRALIZED_FIXED, CENTRALIZED_FIXED, TIMING_ONLY)
     elif which == "sequential":
-        kwargs = {"initial_horizon": draw(positive)} if draw(st.booleans()) else {}
+        kwargs = {"initial_horizon": draw(horizons)} if draw(st.booleans()) else {}
         regime = SequentialRegime(gamma_list=draw(points), c_rule=draw(rules),
                                   delta_rule=draw(rules), **kwargs)
         ests = (DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL)

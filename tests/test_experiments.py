@@ -11,7 +11,7 @@ from scipy import special
 from test_models import ALL_CATALOG
 
 from bitfuse import experiments
-from bitfuse.errors import InvalidSpec, SampleTooSmall
+from bitfuse.errors import HorizonExhausted, InvalidSpec, SampleTooSmall
 from bitfuse.experiments import (
     DiscreteSamplingRegime,
     ExperimentConfig,
@@ -187,6 +187,63 @@ def test_sequential_a_at_stop_is_exact_for_deterministic_information():
         assert abs(row.a_at_stop - gamma) <= 1e-9 * gamma
 
 
+class _RecordedPool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    the tasks in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_worker_pool_is_bounded_by_tasks_and_cores(monkeypatch):
+    # a forked pool starts every worker it is given, so 5000 threads must
+    # not mean 5000 processes
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordedPool)
+    monkeypatch.setattr(_RecordedPool, "sizes", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    cfg = small_cfg(n_replications=3)
+    serial = rows_csv_text(run_experiment(cfg))
+    for threads in (5000, 2):
+        assert rows_csv_text(run_experiment(cfg, threads=threads)) == serial
+    run_experiment(small_cfg(n_replications=8), threads=5000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_experiment(cfg, threads=5000)  # one core: no pool
+    assert _RecordedPool.sizes == [3, 2, 4]
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_starting_grid_within_the_sensor_steps_budget(K):
+    spec = ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=K, x=(1.0,) * K)
+    steps = experiments.MAX_SENSOR_STEPS // K
+    rule = PowerLawRule(1.0, 0.0)
+    regimes = {
+        "fixed": lambda t: FixedHorizonRegime(t_list=(1.0, t), delta_rule=rule),
+        "sequential": lambda t: SequentialRegime(gamma_list=(5.0,), c_rule=rule, delta_rule=rule,
+                                                 initial_horizon=t),
+        "discrete": lambda t: DiscreteSamplingRegime(t=t, delta_rule=rule, h_list=(1.0,)),
+    }
+    for name, regime in regimes.items():
+        ests = (CENTRALIZED_SEQUENTIAL,) if name == "sequential" else (CENTRALIZED_FIXED,)
+        # one step per unit: the horizon is the grid's step count
+        small_cfg(model=spec, regime=regime(float(steps)), estimators=ests, grid_steps_per_unit=1.0)
+        with pytest.raises(InvalidSpec, match="budget"):
+            small_cfg(model=spec, regime=regime(float(steps + 1)), estimators=ests,
+                      grid_steps_per_unit=1.0)
+        with pytest.raises(InvalidSpec, match="budget"):
+            small_cfg(model=spec, regime=regime(5.0), estimators=ests, grid_steps_per_unit=1e300)
+
+
 def test_run_replication_single_rows():
     rows = run_replication(small_cfg(), point_index=0, rep=3)
     assert {r.estimator for r in rows} == {DECENTRALIZED_FIXED, CENTRALIZED_FIXED}
@@ -343,51 +400,42 @@ def test_message_flood_gives_failed_rows():
     assert all(not r.ok and r.fail_reason.startswith("MessageFlood") for r in rows)
 
 
-@pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])
-def test_sequential_rows_equal_rows_from_whole_horizon_logs(monkeypatch, spec, lam):
-    # the engine scans each bit path only up to the later stop; rows built
-    # from every sensor's whole-horizon bits (public run_triggers) with the
-    # same timing logs must be the same bytes, extended replications included
+def test_an_attempt_its_oracle_exhausts_runs_no_trigger(monkeypatch):
+    # the oracle reads no message: when it exhausts an attempt's horizon
+    # the replication starts again on a longer one, and no trigger runs on
+    # the short one
     cfg = ExperimentConfig(
-        model=spec,
-        lambda_true=lam,
-        regime=SequentialRegime(gamma_list=(3.0, 8.0), c_rule=PowerLawRule(0.3, 0.25),
+        model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 0.5)),
+        lambda_true=-0.3,
+        regime=SequentialRegime(gamma_list=(8.0,), c_rule=PowerLawRule(0.3, 0.25),
                                 delta_rule=PowerLawRule(0.3, 0.25), initial_horizon=1.0),
-        n_replications=6,
+        n_replications=2,
         master_seed=5,
         estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
         grid_steps_per_unit=200.0,
     )
-    scans, logs = [], []
-    run_b, rebuild = experiments.run_b_trigger, experiments.reconstruct
+    events = []
 
-    def scan_spy(B, grid, trigger_cfg, max_step=None):
-        scans.append(grid.n_steps - max_step)
-        return run_b(B, grid, trigger_cfg, max_step=max_step)
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            try:
+                return fn(*args, **kwargs)
+            except HorizonExhausted:
+                events.append("exhausted")
+                raise
 
-    def log_spy(log, model):
-        logs.append(log)
-        return rebuild(log, model)
+        return call
 
-    monkeypatch.setattr(experiments, "run_b_trigger", scan_spy)
-    monkeypatch.setattr(experiments, "reconstruct", log_spy)
-    cut = run_experiment(cfg)
-    assert cut.warnings and all(r.ok for r in cut.rows)
-    assert max(scans) > 0  # some bit paths were cut short
-    cut_logs, logs[:] = logs[:], []
-
-    def whole_horizon(stats, model, cfgs, a_logs, max_step=None):
-        return replace(run_triggers(stats, model, cfgs), a=a_logs)
-
-    monkeypatch.setattr(experiments, "_with_bits", whole_horizon)
-    assert rows_csv_text(run_experiment(cfg)) == rows_csv_text(cut)
-    # each cut bit log is the whole log's first messages, bit for bit
-    assert len(logs) == len(cut_logs)
-    for part, whole in zip(cut_logs, logs):
-        assert part.horizon == whole.horizon
-        for bp, bw in zip(part.b, whole.b):
-            for field in ("time", "bit", "overshoot"):
-                assert np.array_equal(getattr(bp, field), getattr(bw, field)[: len(bp)]), field
+    for name in ("simulate_paths", "centralized_estimates", "run_a_trigger", "run_b_trigger"):
+        monkeypatch.setattr(experiments, name, spy(name, getattr(experiments, name)))
+    rows = run_replication(cfg, 0, 0)
+    assert all(r.ok for r in rows)
+    attempts = " ".join(events).split("simulate_paths")[1:]
+    exhausted = [a for a in attempts if "exhausted" in a]
+    assert exhausted and not any("trigger" in a for a in exhausted)
+    assert attempts[-1].split().count("run_a_trigger") == 2
+    assert attempts[-1].split().count("run_b_trigger") == 2
 
 
 @pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])

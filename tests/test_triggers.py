@@ -323,9 +323,13 @@ def prefix_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(prefix_cases())
 def test_scan_to_a_step_keeps_the_whole_paths_messages_up_to_it(case):
+    # the replication engine runs the triggers over the grid prefix that
+    # holds the sequential stops (TimeGrid.prefix): the scan of that
+    # prefix gives the whole path's first messages
     B, grid, cfg, m = case
-    cut = run_b_trigger(B, grid, cfg, max_step=m)
-    # the scan of B[:m + 1] with the whole grid's times
+    part = grid.prefix(m)
+    m = part.n_steps
+    cut = run_b_trigger(B[: m + 1], part, cfg)
     assert_same_messages(cut, reference_scan(B[: m + 1], grid, cfg)[0])
     full = run_b_trigger(B, grid, cfg)
     _, steps = reference_scan(B, grid, cfg)
@@ -334,27 +338,8 @@ def test_scan_to_a_step_keeps_the_whole_paths_messages_up_to_it(case):
     for field in ("time", "bit", "overshoot"):
         assert np.array_equal(getattr(cut, field), getattr(full, field)[:k]), field
     # a message stamped at time t comes at a step of at most ceil(t/dt) + 1,
-    # the prefix the replication engine scans to reach a stop at t
+    # so a prefix 2 steps past the step where a stop at t is known holds it
     assert np.all(steps <= np.ceil(full.time / grid.dt) + 1)
-
-
-def test_scan_step_must_lie_on_the_grid():
-    grid = TimeGrid(1.0, 4)
-    for bad in (-1, 5):
-        with pytest.raises(InvalidSpec, match="max_step"):
-            run_b_trigger(np.zeros(5), grid, symmetric(1.0), max_step=bad)
-
-
-def test_discrete_scan_to_a_step_keeps_the_samples_up_to_it():
-    grid = TimeGrid(2.0, 20)
-    B = np.sin(3.0 * grid.times()) * 4.0
-    cfg = symmetric(1.0, mode="discrete", h=0.2)
-    full = run_b_trigger(B, grid, cfg)
-    cut = run_b_trigger(B, grid, cfg, max_step=11)
-    k = int(np.searchsorted(full.time, grid.times()[11], side="right"))
-    assert 0 < k < len(full)
-    for field in ("time", "bit", "overshoot"):
-        assert np.array_equal(getattr(cut, field), getattr(full, field)[:k]), field
 
 
 def test_bit_flood_raises_before_allocating():
