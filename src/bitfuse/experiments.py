@@ -47,12 +47,10 @@ from .models import (
     Model,
     ModelSpec,
     PathStats,
-    SensorPaths,
     TimeGrid,
     build_model,
     path_statistics,
     simulate_paths,
-    total_information,
 )
 from .triggers import (
     CONTINUOUS,
@@ -451,38 +449,14 @@ def _outcome(est, point, t_end, stats, state):
         return exc
 
 
-def _through_stops(paths: SensorPaths, model: Model, point, cfgs) -> SensorPaths:
-    """The paths on the grid prefix that holds both sequential stops: up
-    to 2 steps past the first step where the total information reaches
-    gamma + c_total, or the whole paths when it never does there.
-
-    The reconstruction never falls more than c_total below the
-    information (tA > A - c_total, pathwise), so where A reaches
-    gamma + c_total tA has reached gamma > gamma - c_total and the
-    decentralized rule has stopped; the oracle stops where A first
-    reaches gamma.  A message stamped at t comes at a step of at most
-    ceil(t / dt) + 1, hence the 2 steps.  The prefix grid has the whole
-    grid's dt and times (``TimeGrid.prefix``), and cumulative sums are
-    running sums, so its statistics are the first values of the whole
-    paths' statistics; past the stops a path with random information can
-    grow like e^(lambda t) until its statistics blow up."""
-    A = total_information(paths, model)
-    reach = point + count_budget(model, cfgs)
-    m = int(np.argmax(A >= reach))
-    if not A[m] >= reach:
-        return paths
-    grid = paths.grid.prefix(m + 2)
-    return SensorPaths(grid=grid, Y=paths.Y[:, :grid.n_steps + 1], lambda_true=paths.lambda_true)
-
-
 def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     """Run one replication at one regime point; returns (rows, warnings).
 
-    An attempt simulates the paths on its horizon, cuts them in the
-    sequential regime to the grid prefix that holds both stops
-    (``_through_stops``), computes their statistics and runs the oracles,
-    which read no message.  Unless an oracle has exhausted the horizon,
-    every sensor's triggers then run over the statistics' grid
+    An attempt simulates the paths on its horizon, computes their
+    statistics, in the sequential regime only on the grid prefix that
+    holds both stops (``path_statistics`` with ``reach``), and runs the
+    oracles, which read no message.  Unless an oracle has exhausted the
+    horizon, every sensor's triggers then run over the statistics' grid
     (``_messages``) for the estimators that read messages.  In the
     sequential regime an attempt whose horizon is too short for some
     estimator to stop is followed by one on a longer horizon, simulated
@@ -496,6 +470,14 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     seed = cfg.replication_seed(point_index, rep)
     cfgs = regime.trigger_configs(model, point)
     sequential = regime.kind == "sequential"
+    # the sequential statistics end 2 steps past where A reaches
+    # gamma + c_total: tA > A - c_total pathwise, so tA has reached
+    # gamma > gamma - c_total there and the decentralized rule has
+    # stopped, while the oracle stops where A first reaches gamma; a
+    # message stamped at t arrives by step ceil(t / dt) + 1.  Past the
+    # stops a path with random information can grow like e^(lambda t)
+    # until its statistics blow up
+    reach = point + count_budget(model, cfgs) if sequential else None
     need_log = any(e != CENTRALIZED_FIXED for e in cfg.estimators)
     t_end = regime.horizon(point)
     attempt = 0
@@ -503,9 +485,7 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
         attempt += 1
         try:
             paths = simulate_paths(model, cfg.lambda_true, cfg.grid_for(t_end), seed)
-            if sequential:
-                paths = _through_stops(paths, model, point, cfgs)
-            stats = path_statistics(paths, model)
+            stats = path_statistics(paths, model, reach)
             outcomes = [_outcome(est, point, t_end, stats, None) if est in _ORACLES else None
                         for est in cfg.estimators]
             state = None

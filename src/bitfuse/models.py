@@ -68,7 +68,6 @@ __all__ = [
     "spec_fields",
     "simulate_paths",
     "path_statistics",
-    "total_information",
 ]
 
 _BLOWUP_CAP = 1e12
@@ -210,21 +209,22 @@ class SensorPaths:
 class PathStats:
     """Pathwise sufficient statistics on the simulation grid.
 
-    Arrays are indexed like the grid times: the per-sensor rows ``B_i``
-    and ``A_i`` (shape (K, n + 1)) and the totals ``B`` and ``A``, whose
+    Arrays are indexed like the grid times: the per-sensor rows ``A_i``
+    and ``B_i`` (shape (K, n + 1)) and the totals ``A`` and ``B``, whose
     A includes the cross-variations of the model's ``cross_pairs``.
     ``A_i`` is None when the model's information is deterministic: its
-    rows are the closed form ``Model.det_info_i``.
+    rows are the closed form ``Model.det_info_i``.  The fields come in
+    the order ``path_statistics`` forms them, the information first.
     """
 
     grid: TimeGrid
-    B_i: np.ndarray
     A_i: np.ndarray | None
-    B: np.ndarray
     A: np.ndarray
+    B_i: np.ndarray
+    B: np.ndarray
 
     def __post_init__(self):
-        for a in (self.B_i, self.A_i, self.B, self.A):
+        for a in (self.A_i, self.A, self.B_i, self.B):
             if a is not None:
                 a.flags.writeable = False
 
@@ -648,41 +648,7 @@ def _check_integrals(B_i):
         raise NumericalBlowup(f"integral B_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
 
 
-def _information(model: Model, grid: TimeGrid, Yl, tl, X):
-    """The per-sensor information rows (None when deterministic) and the
-    total A on ``grid``, from the path ``Yl``, times ``tl`` and weights
-    ``X`` at the left endpoints."""
-    times = grid.times()
-    if model.deterministic_info:
-        return None, model.det_info(times)
-
-    def random_part(i, j):
-        out = np.zeros(times.size)
-        np.cumsum(X[i] * X[j] * model.qv_density(i, j, Yl, tl) * grid.dt, out=out[1:])
-        return out
-
-    A_i = np.empty((model.K, times.size))
-    for i in range(model.K):
-        A_i[i] = random_part(i, i)
-    A = A_i.sum(axis=0)
-    # same summation order as over all off-diagonal pairs; the skipped
-    # pairs add exact zeros
-    for i, j in model.cross_pairs:
-        A = A + random_part(i, j)
-    return A_i, A
-
-
-def total_information(paths: SensorPaths, model: Model) -> np.ndarray:
-    """The total information A along a simulated path, the array
-    ``path_statistics`` gives, with no B_i, no per-sensor rows kept and
-    no blow-up check: a cumulative sum is a running sum, so the
-    statistics of a grid prefix (``TimeGrid.prefix``) give the first
-    values of this array bit for bit."""
-    Yl, tl = paths.Y[:, :-1], paths.grid.times()[:-1]
-    return _information(model, paths.grid, Yl, tl, model.x_values(Yl, tl))[1]
-
-
-def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
+def path_statistics(paths: SensorPaths, model: Model, reach: float | None = None) -> PathStats:
     """Compute B_i, A_i and their totals B and A along a simulated path.
 
     Stochastic integrals are left-endpoint Riemann sums.  When the weights
@@ -701,21 +667,54 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     an information A_i beyond ``_BLOWUP_CAP`` raises
     ``NumericalBlowup``: the triggers could not send the messages such a
     statistic asks for.
+
+    With ``reach`` given, the statistics end on ``grid.prefix(m + 2)``,
+    m the first step where A reaches ``reach`` (the whole grid when it
+    never does).  The information is formed once over the whole grid and
+    its first values kept as views; B_i and B are formed on the prefix
+    only.  Cumulative sums are running sums, so every field holds the
+    whole grid's first values bit for bit; the checks read the prefix.
+    The views keep the whole grid's A, and random A_i, alive for as long
+    as the statistics are held: K + 1 rows of the whole grid for random
+    information and 1 for deterministic, besides the prefix's B_i and B.
     """
     grid = paths.grid
     times = grid.times()
     K = model.K
     if paths.Y.shape != (K, times.size):
         raise GridMismatch("path array shape does not match grid and sensor count")
-    Y = paths.Y
-    Yl, tl = Y[:, :-1], times[:-1]
+    Yl, tl = paths.Y[:, :-1], times[:-1]
     X = model.x_values(Yl, tl)
+    if model.deterministic_info:
+        A_i, A = None, model.det_info(times)
+    else:
+        def random_part(i, j):
+            out = np.zeros(times.size)
+            np.cumsum(X[i] * X[j] * model.qv_density(i, j, Yl, tl) * grid.dt, out=out[1:])
+            return out
 
-    B_i = np.empty((K, times.size))
+        A_i = np.empty((K, times.size))
+        for i in range(K):
+            A_i[i] = random_part(i, i)
+        A = A_i.sum(axis=0)
+        # same summation order as over all off-diagonal pairs; the skipped
+        # pairs add exact zeros
+        for i, j in model.cross_pairs:
+            A = A + random_part(i, j)
+    if reach is not None:
+        m = int(np.argmax(A >= reach))
+        if A[m] >= reach:
+            grid = grid.prefix(m + 2)
+            A = A[:grid.n_steps + 1]
+            A_i = None if A_i is None else A_i[:, :grid.n_steps + 1]
+    n = grid.n_steps
+    Y, X = paths.Y[:, :n + 1], X[:, :n]
+
+    B_i = np.empty((K, n + 1))
     if X.shape[1] == 1:
         # constant weights: the sum of X * dY telescopes; on a one-step
         # grid both forms are the same single term
-        B = np.zeros(times.size)
+        B = np.zeros(n + 1)
         for y, x, row in zip(Y, X, B_i):
             np.subtract(y, y[0], out=row)
             row *= x
@@ -724,19 +723,18 @@ def path_statistics(paths: SensorPaths, model: Model) -> PathStats:
     else:
         # the increments X * dY are formed and summed in place in B_i
         B_i[:, 0] = 0.0
-        dB = np.subtract(Y[:, 1:], Yl, out=B_i[:, 1:])
+        dB = np.subtract(Y[:, 1:], Y[:, :-1], out=B_i[:, 1:])
         dB *= X
         np.cumsum(dB, axis=1, out=dB)
         _check_integrals(B_i)
         B = B_i.sum(axis=0)
 
-    A_i, A = _information(model, grid, Yl, tl, X)
     if A_i is None:
-        A_end = [model.det_info_i(i, times[-1]) for i in range(K)]
+        A_end = [model.det_info_i(i, times[n]) for i in range(K)]
     else:
         A_end = A_i[:, -1]
     # information is nondecreasing: its end values bound it, sensor by
     # sensor (a total with negative cross terms can sit below one A_i)
     if not np.all(np.asarray(A_end) <= _BLOWUP_CAP):
         raise NumericalBlowup(f"information A_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
-    return PathStats(grid=grid, B_i=B_i, A_i=A_i, B=B, A=A)
+    return PathStats(grid=grid, A_i=A_i, A=A, B_i=B_i, B=B)

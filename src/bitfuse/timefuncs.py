@@ -77,15 +77,24 @@ class TimeFunction:
     def piece_index(self, t) -> np.ndarray:
         return np.searchsorted(np.asarray(self.breaks), np.asarray(t, dtype=float), side="right")
 
-    def __call__(self, t):
+    def _by_piece(self, t, piece):
+        """``piece(k, ts)`` at the times ``ts`` of each piece k, for a
+        scalar or an array t.  A one-piece function evaluates the whole
+        array without masks, with the same float operations."""
         t = np.asarray(t, dtype=float)
-        idx = self.piece_index(t)
-        out = np.empty_like(t, dtype=float)
-        for k, c in enumerate(self.coeffs):
-            sel = idx == k
-            if np.any(sel):
-                out[sel] = npoly.polyval(t[sel], np.asarray(c))
+        if len(self.coeffs) == 1:
+            out = np.asarray(piece(0, t), dtype=float)
+        else:
+            idx = self.piece_index(t)
+            out = np.empty_like(t, dtype=float)
+            for k in range(len(self.coeffs)):
+                sel = idx == k
+                if np.any(sel):
+                    out[sel] = piece(k, t[sel])
         return out if out.ndim else float(out)
+
+    def __call__(self, t):
+        return self._by_piece(t, lambda k, ts: npoly.polyval(ts, np.asarray(self.coeffs[k])))
 
     # -- algebra -------------------------------------------------------
 
@@ -113,7 +122,6 @@ class TimeFunction:
 
     def integral(self, t):
         """Exact cumulative integral over [0, t], vectorized in t."""
-        t = np.asarray(t, dtype=float)
         edges = (0.0,) + self.breaks
         anti = [npoly.polyint(np.asarray(c)) for c in self.coeffs]
         # cumulative integral up to the start of each piece
@@ -121,13 +129,8 @@ class TimeFunction:
         for k in range(1, len(self.coeffs)):
             lo, hi = edges[k - 1], edges[k]
             base[k] = base[k - 1] + npoly.polyval(hi, anti[k - 1]) - npoly.polyval(lo, anti[k - 1])
-        idx = self.piece_index(t)
-        out = np.empty_like(t, dtype=float)
-        for k, a in enumerate(anti):
-            sel = idx == k
-            if np.any(sel):
-                out[sel] = base[k] + npoly.polyval(t[sel], a) - npoly.polyval(edges[k], a)
-        return out if out.ndim else float(out)
+        return self._by_piece(
+            t, lambda k, ts: base[k] + npoly.polyval(ts, anti[k]) - npoly.polyval(edges[k], anti[k]))
 
     # -- serialization -------------------------------------------------
 

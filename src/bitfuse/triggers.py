@@ -438,10 +438,12 @@ def run_a_trigger(A_path: np.ndarray | None, grid: TimeGrid, c: float | None,
     Returns an empty log when c is None (the sensor never sends timing
     messages because the model's information is deterministic); the
     path is not read then and may be None, as ``PathStats.A_i`` is.
-    ``max_level`` optionally caps the emitted levels; levels above it can
-    never be consumed by a stopping rule targeting that amount of
-    information.  More than ``MAX_MESSAGES`` levels raise
-    ``MessageFlood`` before any is allocated.
+    ``max_level`` optionally caps the emitted levels.  A stopping rule
+    targeting that information never consumes a level above it, but a
+    sequential oracle row counts the messages up to its own, possibly
+    later, stop, so the cap shows in its ``a_messages``.  More than
+    ``MAX_MESSAGES`` levels raise ``MessageFlood`` before any is
+    allocated.
     """
     if c is None:
         return _empty_a()

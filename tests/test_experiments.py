@@ -456,18 +456,61 @@ def test_sequential_statistics_end_past_both_stops(monkeypatch, spec, lam):
     steps = []
     compute = experiments.path_statistics
 
-    def spy(paths, model):
-        steps.append(paths.grid.n_steps)
-        return compute(paths, model)
+    def spy(paths, model, reach):
+        stats = compute(paths, model, reach)
+        steps.append(stats.grid.n_steps)
+        return stats
 
     monkeypatch.setattr(experiments, "path_statistics", spy)
     cut = run_experiment(cfg)
     assert all(r.ok for r in cut.rows)
     cut_steps, steps[:] = steps[:], []
-    monkeypatch.setattr(experiments, "_through_stops", lambda paths, model, point, cfgs: paths)
+
+    def whole(paths, model, reach):
+        # drops the cut: statistics over the attempt's whole horizon
+        stats = compute(paths, model)
+        steps.append(stats.grid.n_steps)
+        return stats
+
+    monkeypatch.setattr(experiments, "path_statistics", whole)
     assert rows_csv_text(run_experiment(cfg)) == rows_csv_text(cut)
     assert len(steps) == len(cut_steps)
     assert all(c <= w for c, w in zip(cut_steps, steps)) and sum(cut_steps) < sum(steps)
+
+
+def test_a_sequential_attempt_forms_its_information_once(monkeypatch):
+    # the cut is found on the information the statistics keep: one pass
+    # per attempt, extended replications included, and no second pass
+    # over the whole horizon to find the stops
+    spec = ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=2, alpha=(1.0, 0.5))
+    cfg = ExperimentConfig(
+        model=spec,
+        lambda_true=-0.3,
+        regime=SequentialRegime(gamma_list=(8.0,), c_rule=PowerLawRule(0.3, 0.25),
+                                delta_rule=PowerLawRule(0.3, 0.25), initial_horizon=1.0),
+        n_replications=2,
+        master_seed=5,
+        estimators=(DECENTRALIZED_SEQUENTIAL, CENTRALIZED_SEQUENTIAL),
+        grid_steps_per_unit=200.0,
+    )
+    model_cls = type(build_model(spec))
+    density, simulate = model_cls.qv_density, experiments.simulate_paths
+    calls, attempts = [], []
+
+    def counted_density(self, *args):
+        calls.append(args[:2])
+        return density(self, *args)
+
+    def counted_simulate(*args):
+        attempts.append(args[2].t_end)
+        return simulate(*args)
+
+    monkeypatch.setattr(model_cls, "qv_density", counted_density)
+    monkeypatch.setattr(experiments, "simulate_paths", counted_simulate)
+    rows = run_replication(cfg, 0, 0)
+    assert all(r.ok for r in rows)
+    assert len(attempts) > 1
+    assert calls == [(0, 0), (1, 1)] * len(attempts)
 
 
 # the child limits its own address space before it imports numpy

@@ -342,7 +342,7 @@ def test_pointwise_identities_all_models(spec, lam):
     times = grid.times()
     paths = simulate_paths(m, lam, grid, seed=77)
     s = path_statistics(paths, m)
-    assert [f.name for f in dataclasses.fields(s)] == ["grid", "B_i", "A_i", "B", "A"]
+    assert [f.name for f in dataclasses.fields(s)] == ["grid", "A_i", "A", "B_i", "B"]
     # deterministic information is read from the closed form, not stored
     assert (s.A_i is None) == m.deterministic_info
     if m.deterministic_info:
@@ -382,6 +382,36 @@ def test_pointwise_identities_all_models(spec, lam):
                 assert np.all(m.alpha_fn[i][j](dense) == 0.0)
             elif not m.deterministic_info:
                 assert np.all(m.qv_density(i, j, paths.Y[:, :-1], times[:-1]) == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    which=st.integers(0, len(ALL_CATALOG) - 1),
+    n=st.integers(1, 400),
+    t_end=st.floats(0.1, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.floats(-0.1, 1.3),
+)
+def test_reach_keeps_the_first_values_of_the_whole_statistics(which, n, t_end, seed, frac):
+    # the statistics cut 2 steps past where A reaches ``reach`` are the
+    # whole grid's first values, bit for bit; past A's end, the whole grid
+    spec, lam = ALL_CATALOG[which]
+    m = build_model(spec)
+    paths = simulate_paths(m, lam, TimeGrid(t_end, n), seed=seed)
+    whole = path_statistics(paths, m)
+    reach = frac * float(whole.A[-1])
+    cut = path_statistics(paths, m, reach)
+    hit = np.flatnonzero(whole.A >= reach)
+    grid = paths.grid.prefix(int(hit[0]) + 2) if hit.size else paths.grid
+    assert cut.grid == grid
+    size = grid.n_steps + 1
+    for f in ("B_i", "A_i", "B", "A"):
+        got, want = getattr(cut, f), getattr(whole, f)
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape[-1] == size
+            assert got.tobytes() == np.ascontiguousarray(want[..., :size]).tobytes(), f
 
 
 def _riemann_b_i(m, paths):

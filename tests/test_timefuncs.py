@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from bitfuse.errors import InvalidSpec
 from bitfuse.timefuncs import TimeFunction, as_timefunction
@@ -63,3 +66,52 @@ def test_invalid_breakpoints_rejected():
         TimeFunction(breaks=(2.0, 1.0), coeffs=((1.0,), (2.0,), (3.0,)))
     with pytest.raises(InvalidSpec):
         TimeFunction.piecewise_constant((1.0,), (1.0,))
+
+
+def _per_piece(f, t, polys, offset):
+    """The reference evaluation: offset[k] + polyval(t, polys[k]) -
+    polyval(edge_k, polys[k]) on the masked times of each piece k, or
+    polyval alone when offset is None."""
+    t = np.asarray(t, dtype=float)
+    edges = (0.0,) + f.breaks
+    idx = f.piece_index(t)
+    out = np.empty_like(t, dtype=float)
+    for k, c in enumerate(polys):
+        sel = idx == k
+        if np.any(sel):
+            v = npoly.polyval(t[sel], c)
+            out[sel] = v if offset is None else offset[k] + v - npoly.polyval(edges[k], c)
+    return out
+
+
+@st.composite
+def time_functions(draw):
+    coeff = st.floats(-10.0, 10.0)
+    kind = draw(st.sampled_from(("constant", "polynomial", "piecewise")))
+    if kind == "constant":
+        return TimeFunction.constant(draw(coeff))
+    if kind == "polynomial":
+        return TimeFunction.polynomial(draw(st.lists(coeff, min_size=1, max_size=4)))
+    breaks = sorted(draw(st.sets(st.floats(0.01, 15.0), min_size=1, max_size=4)))
+    pieces = [tuple(draw(st.lists(coeff, min_size=1, max_size=3))) for _ in range(len(breaks) + 1)]
+    return TimeFunction(breaks=tuple(breaks), coeffs=tuple(pieces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=time_functions(), ts=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=30),
+       scalar=st.booleans())
+def test_evaluation_and_integral_match_per_piece_reference(f, ts, scalar):
+    # a one-piece function skips the masks; every function gives the
+    # bytes of the per-piece evaluation, scalar in, float out
+    t = ts[0] if scalar else np.array(ts + list(f.breaks))
+    anti = [npoly.polyint(np.asarray(c)) for c in f.coeffs]
+    edges = (0.0,) + f.breaks
+    base = [0.0]
+    for k in range(1, len(anti)):
+        a = anti[k - 1]
+        base.append(base[-1] + npoly.polyval(edges[k], a) - npoly.polyval(edges[k - 1], a))
+    for got, want in ((f(t), _per_piece(f, t, [np.asarray(c) for c in f.coeffs], None)),
+                      (f.integral(t), _per_piece(f, t, anti, base))):
+        if scalar:
+            assert type(got) is float
+        assert np.asarray(got).tobytes() == want.tobytes()
