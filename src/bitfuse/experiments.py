@@ -11,6 +11,18 @@ simulated again from the same seed on a longer grid, which draws other
 noise: the path kept is the first one that stops, so the extensions
 select on the stopping time.
 
+What a replication holds depends on its regime and model kind.  In the
+fixed-horizon and discrete-sampling regimes a kind whose sensors are
+independent and draw their noise one after another (constant-weight
+Brownian) runs one sensor at a time: one path row, over which the
+sensor's B_i is formed, the closed-form A row and the grid times, plus
+every sensor's messages, whatever K is.  The sequential regime, whose
+cut reads the total information, and the kinds that couple their
+sensors or whose rows are not split (Gaussian, OU, square-root,
+correlated) hold the K paths and the statistics of ``path_statistics``,
+2K + 3 rows of the grid for deterministic information and 3K + 3 for
+random information, the sequential statistics on a prefix.
+
 Threshold rules are explicit power laws u -> a * u^b applied per sensor
 (the asymptotic statements only constrain rates, so exponents are
 configuration, recorded in the report).  Each regime class decides how
@@ -58,8 +70,11 @@ from .triggers import (
     MessageLog,
     TriggerConfig,
     run_a_trigger,
-    run_b_trigger,
 )
+# the engine's B_i rows are finite (``path_statistics`` bounds them by the
+# blow-up cap), so its bit trigger is the scan without ``run_b_trigger``'s
+# finiteness pass, under the public name that the benchmark's tracer wraps
+from .triggers import bit_messages as run_b_trigger
 
 __all__ = [
     "PowerLawRule",
@@ -353,16 +368,15 @@ def ks_test(sample):
     return D, p
 
 
-def _messages(stats: PathStats, model: Model, cfgs, horizon, max_level) -> FusionState:
-    """The fusion state of every sensor's timing messages, up to
-    information ``max_level`` (all of them when None), and bit messages
-    over the statistics' grid, in a log with the attempt's ``horizon``."""
+def _messages(stats: PathStats, cfgs, max_level):
+    """The timing messages of the statistics' sensors, whose trigger
+    configs are ``cfgs``, up to information ``max_level`` (all of them
+    when None), then their bit messages over the statistics' grid."""
     grid = stats.grid
-    a_logs = tuple(run_a_trigger(None if stats.A_i is None else stats.A_i[i], grid, cfgs[i].c,
-                                 max_level=max_level)
-                   for i in range(model.K))
-    b_logs = tuple(run_b_trigger(stats.B_i[i], grid, cfgs[i]) for i in range(model.K))
-    return reconstruct(MessageLog(b=b_logs, a=a_logs, cfgs=cfgs, horizon=horizon), model)
+    a_logs = [run_a_trigger(None if stats.A_i is None else stats.A_i[i], grid, cfg.c,
+                            max_level=max_level)
+              for i, cfg in enumerate(cfgs)]
+    return a_logs, [run_b_trigger(stats.B_i[i], grid, cfg) for i, cfg in enumerate(cfgs)]
 
 
 def _row(point, rep, est, result, lam, std_scale, a_at_stop, state, horizon, t_eval):
@@ -415,9 +429,11 @@ def _failed_row(point, rep, est, horizon, exc):
     )
 
 
-def _estimate(est, point, t_end, stats, state):
+def _estimate(est, point, t_end, stats, ends, state):
     """One estimator's result, the information at its stop, and the time
-    up to which its messages are counted."""
+    up to which its messages are counted.  The sequential estimators read
+    the (whole model's) statistics, the fixed-horizon ones the totals
+    ``ends`` = (B, A) at ``t_end``."""
     if est == DECENTRALIZED_SEQUENTIAL:
         res = fusion.estimate_sequential(state, point)
         # with deterministic information the stop is the exact closed-form
@@ -429,22 +445,23 @@ def _estimate(est, point, t_end, stats, state):
         res = centralized_estimates(stats, gamma=point)[0]
         # A equals gamma at the oracle's stop
         return res, point, res.stop_time
+    b_t, a_t = ends
     if est == CENTRALIZED_FIXED:
-        res = centralized_estimates(stats, t=t_end)[0]
+        res = fusion.estimate_centralized_fixed(b_t, a_t)
     elif est == DECENTRALIZED_FIXED:
         res = fusion.estimate_fixed(state, t_end)
     else:
         res = fusion.estimate_timing_only(state, t_end)
-    return res, float(stats.A[-1]), t_end
+    return res, a_t, t_end
 
 
 # the estimators that read the paths, never a message
 _ORACLES = (CENTRALIZED_FIXED, CENTRALIZED_SEQUENTIAL)
 
 
-def _outcome(est, point, t_end, stats, state):
+def _outcome(est, point, t_end, stats, ends, state):
     try:
-        return _estimate(est, point, t_end, stats, state)
+        return _estimate(est, point, t_end, stats, ends, state)
     except BitfuseError as exc:
         return exc
 
@@ -452,17 +469,27 @@ def _outcome(est, point, t_end, stats, state):
 def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     """Run one replication at one regime point; returns (rows, warnings).
 
-    An attempt simulates the paths on its horizon, computes their
-    statistics, in the sequential regime only on the grid prefix that
-    holds both stops (``path_statistics`` with ``reach``), and runs the
-    oracles, which read no message.  Unless an oracle has exhausted the
-    horizon, every sensor's triggers then run over the statistics' grid
-    (``_messages``) for the estimators that read messages.  In the
-    sequential regime an attempt whose horizon is too short for some
-    estimator to stop is followed by one on a longer horizon, simulated
-    from the same seed.  A ``BitfuseError`` from the simulation, the
-    statistics or the triggers (a ``MessageFlood``, say) fails every row
-    of the replication.
+    An attempt runs the model's parts (``Model.parts``) one after another
+    on the replication's one generator: K one-sensor parts when the
+    kind's sensors are independent, else the whole model, which the
+    sequential regime always runs (its cut reads the total information).
+    Each part's paths are simulated and their statistics computed, in the
+    sequential regime only on the grid prefix that holds both stops
+    (``path_statistics`` with ``reach``), and its sensors' triggers run
+    over the statistics' grid.  One-sensor parts share one path row, over
+    which each forms its B_i, so such an attempt holds one sensor's path
+    at a time and keeps its messages and the totals at the horizon: B(t)
+    is the parts' B(t) added from +0.0 in sensor order, as the B row
+    adds, and A(t) the model's closed form, or with random information
+    the parts' A(t) added the same way.  The oracles, which read no message, run once the last part's statistics
+    are in and before its triggers: an attempt whose horizon they exhaust
+    runs no trigger on them.  The estimators that read messages follow.
+    In the sequential regime an attempt whose horizon is too short for
+    some estimator to stop is followed by one on a longer horizon,
+    simulated from the same seed.  A ``BitfuseError`` from the
+    simulation, the statistics or the triggers (a ``MessageFlood``, say)
+    fails every row of the replication; with K parts the first one
+    raised, in sensor order, is reported.
     """
     model = build_model(cfg.model)
     regime = cfg.regime
@@ -478,20 +505,41 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     # stops a path with random information can grow like e^(lambda t)
     # until its statistics blow up
     reach = point + count_budget(model, cfgs) if sequential else None
+    parts = (model,) if sequential else model.parts()
     need_log = any(e != CENTRALIZED_FIXED for e in cfg.estimators)
     t_end = regime.horizon(point)
     attempt = 0
     while True:
         attempt += 1
         try:
-            paths = simulate_paths(model, cfg.lambda_true, cfg.grid_for(t_end), seed)
-            stats = path_statistics(paths, model, reach)
-            outcomes = [_outcome(est, point, t_end, stats, None) if est in _ORACLES else None
-                        for est in cfg.estimators]
+            grid = cfg.grid_for(t_end)
+            rng = np.random.default_rng(seed)
+            row = np.empty((1, grid.n_steps + 1)) if parts[0] is not model else None
+            a_logs, b_logs, b_t, a_t, outcomes = [], [], 0.0, 0.0, []
+            for k, part in enumerate(parts, 1):
+                # the previous part's statistics go before this part's are formed
+                stats = None
+                paths = simulate_paths(part, cfg.lambda_true, grid, rng, row)
+                stats = path_statistics(paths, part, reach, row)
+                b_t += float(stats.B[-1])
+                if not model.deterministic_info:
+                    a_t += float(stats.A[-1])
+                if k == len(parts):
+                    if model.deterministic_info:
+                        a_t = float(model.det_info(t_end))
+                    outcomes = [_outcome(est, point, t_end, stats, (b_t, a_t), None)
+                                if est in _ORACLES else None for est in cfg.estimators]
+                if need_log and not any(isinstance(o, HorizonExhausted) for o in outcomes):
+                    a, b = _messages(stats, cfgs[len(b_logs):len(b_logs) + part.K],
+                                     point if sequential else None)
+                    a_logs += a
+                    b_logs += b
             state = None
-            if need_log and not any(isinstance(o, HorizonExhausted) for o in outcomes):
-                state = _messages(stats, model, cfgs, t_end, point if sequential else None)
-                outcomes = [_outcome(est, point, t_end, stats, state) if out is None else out
+            if len(b_logs) == model.K:  # every sensor's triggers ran
+                state = reconstruct(MessageLog(b=tuple(b_logs), a=tuple(a_logs), cfgs=cfgs,
+                                               horizon=t_end), model)
+                outcomes = [_outcome(est, point, t_end, stats, (b_t, a_t), state)
+                            if out is None else out
                             for est, out in zip(cfg.estimators, outcomes)]
         except BitfuseError as exc:
             return [_failed_row(point, rep, est, t_end, exc) for est in cfg.estimators], []
@@ -507,7 +555,7 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
             f"point={point} rep={rep}: horizon extended to {t_end:g} ({attempt - 1} extensions)"
         )
 
-    info = point if sequential else float(stats.A[-1])
+    info = point if sequential else a_t
     std_scale = math.sqrt(info) if info > 0 else float("nan")
     rows = []
     for est, out in zip(cfg.estimators, outcomes):

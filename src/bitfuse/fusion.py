@@ -55,6 +55,7 @@ __all__ = [
     "estimate_fixed",
     "estimate_sequential",
     "estimate_timing_only",
+    "estimate_centralized_fixed",
     "centralized_estimates",
 ]
 
@@ -296,12 +297,27 @@ def estimate_timing_only(state: FusionState, t: float) -> EstimateResult:
     )
 
 
+def estimate_centralized_fixed(b_t: float, a_t: float) -> EstimateResult:
+    """The fixed-horizon oracle B_t / A_t from the totals at t, which
+    only a center that sees every path knows."""
+    if a_t == 0.0:
+        raise ZeroInformation("information is zero at the requested time")
+    return EstimateResult(
+        estimator=CENTRALIZED_FIXED,
+        value=b_t / a_t,
+        stop_time=None,
+        info_used=a_t,
+        messages_used=0,
+    )
+
+
 def centralized_estimates(stats: PathStats, t: float | None = None,
                           gamma: float | None = None):
     """Oracle estimators with full access to the paths.
 
-    Returns a list with the fixed-horizon ratio B_t/A_t (when t is given)
-    and the sequential pair (when gamma is given): stop at the first
+    Returns a list with the fixed-horizon ratio B_t/A_t (when t is given;
+    ``estimate_centralized_fixed`` of the interpolated totals) and the
+    sequential pair (when gamma is given): stop at the first
     interpolated time the information reaches gamma, where it equals
     gamma exactly, and report the ratio there.
     """
@@ -309,19 +325,7 @@ def centralized_estimates(stats: PathStats, t: float | None = None,
     if t is not None:
         if not 0 < t <= stats.grid.t_end * (1 + 1e-12):
             raise InvalidSpec("t must lie inside the simulated horizon")
-        a_t = stats.value_at(stats.A, t)
-        if a_t == 0.0:
-            raise ZeroInformation("information is zero at the requested time")
-        b_t = stats.value_at(stats.B, t)
-        out.append(
-            EstimateResult(
-                estimator=CENTRALIZED_FIXED,
-                value=b_t / a_t,
-                stop_time=None,
-                info_used=a_t,
-                messages_used=0,
-            )
-        )
+        out.append(estimate_centralized_fixed(stats.value_at(stats.B, t), stats.value_at(stats.A, t)))
     if gamma is not None:
         if not gamma > 0:
             raise InvalidSpec("gamma must be positive")

@@ -37,7 +37,13 @@ gives them wherever they are read.  With a constant weight the
 left-endpoint sum for B_i telescopes to x_i (Y_i - Y_i(0)).
 Cross-variations are added into A as they are formed and never stored,
 so statistics memory is K + 2 rows of the grid for deterministic
-information and 2K + 2 for random information.
+information and 2K + 2 for random information, on top of the paths' K.
+A replication need not hold them all: where the sensors are independent
+and draw their noise one after another (``Model.parts``), the paths can
+be simulated one sensor at a time into the caller's row
+(``simulate_paths``' ``out``), and a constant-weight B_i formed over it
+(``path_statistics``' ``out``); one sensor's total B is its own B_i row,
+so such a sensor holds its row, the closed-form A and the grid times.
 
 The exponential-integrability condition that makes the drifted law a
 proper change of measure is assumed for every catalog model and is not
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import reduce
 
@@ -138,6 +144,16 @@ def _as_matrix_of_timefunctions(entries, K, name):
     if len(rows) != K or any(len(r) != K for r in rows):
         raise InvalidSpec(f"{name} must be a {K}x{K} matrix")
     return rows
+
+
+def _path_array(K, grid, out):
+    """The caller's C-contiguous (K, n_steps + 1) float array ``out``,
+    or a new one when it is None."""
+    if out is None:
+        return np.empty((K, grid.n_steps + 1))
+    if out.shape != (K, grid.n_steps + 1) or out.dtype != float or not out.flags.c_contiguous:
+        raise GridMismatch("output array must be a C-contiguous float array of the paths' shape")
+    return out
 
 
 def _matrix_stack(fns, times):
@@ -287,8 +303,18 @@ class Model:
 
     # -- interface implemented per kind ---------------------------------
 
-    def simulate(self, lam: float, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
+    def simulate(self, lam: float, grid: TimeGrid, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """The (K, n_steps + 1) paths, written into ``out`` when given."""
         raise NotImplementedError
+
+    def parts(self) -> tuple:
+        """The models an attempt simulates one after another from its one
+        generator: the model itself, or K one-sensor models when the
+        sensors are independent and draw their noise one after another
+        ((K, n) in C order), so that the parts' paths are the model's rows
+        bit for bit."""
+        return (self,)
 
     def x_values(self, Y: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Weight-process values X_i at the left endpoints.
@@ -326,7 +352,7 @@ class _BrownianConstantModel(Model):
             raise InvalidSpec(f"weights x must be finite and nonzero, got {list(spec.x)}")
         self.x = np.asarray(spec.x, dtype=float)
 
-    def simulate(self, lam, grid, rng):
+    def simulate(self, lam, grid, rng, out=None):
         # one sensor at a time through one n-long buffer: standard_normal
         # fills it in C order, so the draws are those of one (K, n) call
         # the drift (lam x) t is formed in the same buffer once the row's
@@ -334,7 +360,7 @@ class _BrownianConstantModel(Model):
         times = grid.times()[1:]
         sdt = np.sqrt(grid.dt)
         noise = np.empty(grid.n_steps)
-        Y = np.empty((self.K, grid.n_steps + 1))
+        Y = _path_array(self.K, grid, out)
         Y[:, 0] = 0.0
         for row, x in zip(Y, self.x):
             rng.standard_normal(out=noise)
@@ -342,6 +368,9 @@ class _BrownianConstantModel(Model):
             np.cumsum(noise, out=row[1:])
             row[1:] += np.multiply(times, lam * x, out=noise)
         return Y
+
+    def parts(self):
+        return tuple(build_model(replace(self.spec, K=1, x=(v,))) for v in self.spec.x)
 
     def x_values(self, Y, times):
         return self.x[:, None]
@@ -399,7 +428,7 @@ class _GaussianDetInfoModel(Model):
     def _cross_is_zero(self, i, j):
         return self._cross_integrand[i][j].is_zero
 
-    def simulate(self, lam, grid, rng):
+    def simulate(self, lam, grid, rng, out=None):
         dt = grid.dt
         tl = grid.times()[:-1]
         b_vals = np.stack([f(tl) for f in self.b])  # (K, n)
@@ -411,7 +440,8 @@ class _GaussianDetInfoModel(Model):
         root = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]  # (n, K, K), root @ root^T = rho
         z = rng.standard_normal((grid.n_steps, self.K))
         incr = np.einsum("nij,nj->in", root, z) * np.sqrt(dt) + drift
-        Y = np.zeros((self.K, grid.n_steps + 1))
+        Y = _path_array(self.K, grid, out)
+        Y[:, 0] = 0.0
         Y[:, 1:] = np.cumsum(incr, axis=1)
         return Y
 
@@ -437,14 +467,15 @@ class _OrnsteinUhlenbeckModel(Model):
             raise InvalidSpec(f"alpha must be finite and positive, got {list(spec.alpha)}")
         self.alpha = np.asarray(spec.alpha, dtype=float)
 
-    def simulate(self, lam, grid, rng):
+    def simulate(self, lam, grid, rng, out=None):
         # imported here, not at module level: scipy.signal pulls in
         # scipy.stats, interpolate and optimize, which nothing else runs
         from scipy.signal import lfilter
 
         dt = grid.dt
         noise = rng.standard_normal((self.K, grid.n_steps))
-        Y = np.zeros((self.K, grid.n_steps + 1))
+        Y = _path_array(self.K, grid, out)
+        Y[:, 0] = 0.0
         for i in range(self.K):
             a = 1.0 + lam * self.alpha[i] * dt
             e = np.sqrt(self.alpha[i] * dt) * noise[i]
@@ -475,11 +506,11 @@ class _SquareRootDiffusionModel(Model):
             raise InvalidSpec(f"y0 must give K finite nonnegative start values, got {list(y0)}")
         self.y0 = np.asarray(y0, dtype=float)
 
-    def simulate(self, lam, grid, rng):
+    def simulate(self, lam, grid, rng, out=None):
         dt = grid.dt
         sdt = np.sqrt(dt)
         noise = rng.standard_normal((self.K, grid.n_steps))
-        Y = np.empty((self.K, grid.n_steps + 1))
+        Y = _path_array(self.K, grid, out)
         Y[:, 0] = self.y0
         y = self.y0.copy()
         for k in range(grid.n_steps):
@@ -495,17 +526,17 @@ class _SquareRootDiffusionModel(Model):
         return np.maximum(Y[i], 0.0) if i == j else 0.0
 
 
-def _linear_recursion(M, e):
+def _linear_recursion(M, e, Y):
     """Solve y_0 = 0, y_{k+1} = M_k y_k + e_k for k < n, in blocks.
 
-    ``M`` has shape (n, K, K) and ``e`` shape (n, K); the result is the
-    C-contiguous (K, n + 1) array of the states y_0 .. y_n.  The n steps
-    split into n // L blocks of L = isqrt(n) steps.  Pass 1 runs every
-    block at once from a zero start and keeps its end value z_b and its
-    transition product P_b; one loop over the blocks chains their true
-    start states s_{b+1} = P_b s_b + z_b; pass 2 runs every block again
-    from s_b, writing the states in place; the fewer than L steps left
-    over continue from the last block's end.  That is about 3 sqrt(n)
+    ``M`` has shape (n, K, K) and ``e`` shape (n, K); the states y_0 ..
+    y_n are written into the C-contiguous (K, n + 1) array ``Y``, which
+    is returned.  The n steps split into n // L blocks of L = isqrt(n)
+    steps.  Pass 1 runs every block at once from a zero start and keeps
+    its end value z_b and its transition product P_b; one loop over the
+    blocks chains their true start states s_{b+1} = P_b s_b + z_b; pass
+    2 runs every block again from s_b, writing the states in place; the
+    fewer than L steps left over continue from the last block's end.  That is about 3 sqrt(n)
     Python iterations on (n / L, K) and (n / L, K, K) arrays instead of
     n on single states, and no copy of ``M`` or ``e``.  Rounding differs
     from stepping one state at a time in the last bits.
@@ -514,7 +545,6 @@ def _linear_recursion(M, e):
     L = math.isqrt(n)
     nb = n // L
     m = nb * L
-    Y = np.empty((K, n + 1))
     Y[:, 0] = 0.0
     Yt = Y.T[1:]  # Yt[k] is y_{k+1}, a view
     Mb = M[:m].reshape(nb, L, K, K)
@@ -573,7 +603,7 @@ class _CorrelatedDiffusionModel(Model):
     def _cross_is_zero(self, i, j):
         return self.alpha_fn[i][j].is_zero
 
-    def simulate(self, lam, grid, rng):
+    def simulate(self, lam, grid, rng, out=None):
         n, K = grid.n_steps, self.K
         tl = grid.times()[:-1]
         # e_k = sqrt(dt) sigma_k z_k; the sigma stack and the draws are
@@ -584,7 +614,7 @@ class _CorrelatedDiffusionModel(Model):
         M = _matrix_stack(self.alpha_fn, tl)
         M *= lam * grid.dt
         M.reshape(n, K * K)[:, :: K + 1] += 1.0
-        return _linear_recursion(M, e)
+        return _linear_recursion(M, e, _path_array(K, grid, out))
 
     def x_values(self, Y, times):
         return Y
@@ -624,22 +654,25 @@ def build_model(spec: ModelSpec) -> Model:
     return cls(spec)
 
 
-def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed) -> SensorPaths:
+def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed, out=None) -> SensorPaths:
     """Simulate one replication of the sensor paths.
 
     The generator is seeded from ``seed`` alone (an int or a seed
     sequence), so identical (model, lam, grid, seed) inputs reproduce
-    bit-identical paths.  A path beyond ``_BLOWUP_CAP`` in magnitude
-    raises ``NumericalBlowup``.
+    bit-identical paths; a ``np.random.Generator`` is used as it is, so
+    calls on one generator continue its stream.  With ``out``, the
+    caller's C-contiguous (K, n_steps + 1) float array, the paths are
+    written there and ``SensorPaths.Y`` is a read-only view of it.  A
+    path beyond ``_BLOWUP_CAP`` in magnitude raises ``NumericalBlowup``.
     """
     rng = np.random.default_rng(seed)
-    Y = model.simulate(float(lam), grid, rng)
+    Y = model.simulate(float(lam), grid, rng, out)
     # reductions, not abs(): no temporary of the path's size; NaN fails the test
     if not (-_BLOWUP_CAP <= Y.min() and Y.max() <= _BLOWUP_CAP):
         raise NumericalBlowup(
             f"path magnitude exceeded {_BLOWUP_CAP:g}; refine the grid or shorten the horizon"
         )
-    return SensorPaths(grid=grid, Y=Y, lambda_true=float(lam))
+    return SensorPaths(grid=grid, Y=Y if out is None else Y.view(), lambda_true=float(lam))
 
 
 def _check_integrals(B_i):
@@ -648,7 +681,8 @@ def _check_integrals(B_i):
         raise NumericalBlowup(f"integral B_i exceeded {_BLOWUP_CAP:g}; shorten the horizon")
 
 
-def path_statistics(paths: SensorPaths, model: Model, reach: float | None = None) -> PathStats:
+def path_statistics(paths: SensorPaths, model: Model, reach: float | None = None,
+                    out: np.ndarray | None = None) -> PathStats:
     """Compute B_i, A_i and their totals B and A along a simulated path.
 
     Stochastic integrals are left-endpoint Riemann sums.  When the weights
@@ -663,8 +697,16 @@ def path_statistics(paths: SensorPaths, model: Model, reach: float | None = None
     cross-variation bound |A_ij| <= (A_i + A_j)/2 holds exactly; A is
     the sum of the A_i plus each pair of ``model.cross_pairs``, added as
     it is formed.  Memory is K + 2 rows of the grid for deterministic
-    information and 2K + 2 for random information.  An integral B_i or
-    an information A_i beyond ``_BLOWUP_CAP`` raises
+    information and 2K + 2 for random information, one row less for one
+    sensor with a constant weight: its B is its own B_i row, 0.0 + B_1
+    formed in place (so B_1's zeros are +0.0 there).  With ``out``, the
+    caller's array of the paths' shape, B_i is formed in its first
+    columns instead of a new array.  It may be the array the paths were
+    simulated into (``simulate_paths``' ``out``) when the weights are
+    constant: each path row is read before its B_i row overwrites it,
+    and the paths are gone afterwards; with time-varying weights, which
+    read the path after B_i starts, that raises ``InvalidSpec``.  An
+    integral B_i or an information A_i beyond ``_BLOWUP_CAP`` raises
     ``NumericalBlowup``: the triggers could not send the messages such a
     statistic asks for.
 
@@ -710,16 +752,24 @@ def path_statistics(paths: SensorPaths, model: Model, reach: float | None = None
     n = grid.n_steps
     Y, X = paths.Y[:, :n + 1], X[:, :n]
 
-    B_i = np.empty((K, n + 1))
+    if out is None:
+        B_i = np.empty((K, n + 1))
+    elif out.shape != paths.Y.shape:
+        raise GridMismatch("output array shape does not match the paths")
+    elif X.shape[1] != 1 and np.may_share_memory(out, paths.Y):
+        raise InvalidSpec("B_i can overwrite the paths only when the weights are constant")
+    else:
+        B_i = out[:, :n + 1]
     if X.shape[1] == 1:
         # constant weights: the sum of X * dY telescopes; on a one-step
-        # grid both forms are the same single term
-        B = np.zeros(n + 1)
+        # grid both forms are the same single term.  One sensor's total
+        # is its own row, 0.0 + B_1 formed in place
+        B = np.zeros(n + 1) if K > 1 else B_i[0]
         for y, x, row in zip(Y, X, B_i):
             np.subtract(y, y[0], out=row)
             row *= x
             _check_integrals(row)
-            B += row
+            B += row if K > 1 else 0.0
     else:
         # the increments X * dY are formed and summed in place in B_i
         B_i[:, 0] = 0.0

@@ -50,6 +50,7 @@ __all__ = [
     "AMessages",
     "MessageLog",
     "run_b_trigger",
+    "bit_messages",
     "run_a_trigger",
     "run_triggers",
     "extract_renewals",
@@ -209,6 +210,16 @@ def run_b_trigger(B_path: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMe
     # reductions: no temporary of the path's size; NaN fails the test
     if not (-np.inf < B.min() and B.max() < np.inf):
         raise InvalidSpec("statistic path must be finite")
+    return bit_messages(B, grid, cfg)
+
+
+def bit_messages(B: np.ndarray, grid: TimeGrid, cfg: TriggerConfig) -> BMessages:
+    """``run_b_trigger`` on a float path the caller knows to be finite,
+    without the pass that checks it: ``path_statistics`` has bounded
+    every B_i row by the blow-up cap.  A non-finite value gives wrong
+    messages or ``MessageFlood`` here, not ``InvalidSpec``."""
+    if B.size != grid.n_steps + 1:
+        raise InvalidSpec("statistic path length does not match the grid")
     if cfg.mode == DISCRETE:
         stride = grid.stride(cfg.h)
         samples = B[::stride]

@@ -1,17 +1,21 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 from test_models import ALL_CATALOG
 
-from bitfuse import experiments
-from bitfuse.errors import HorizonExhausted, InvalidSpec, SampleTooSmall
+from bitfuse import experiments, fusion
+from bitfuse.errors import BitfuseError, HorizonExhausted, InvalidSpec, SampleTooSmall
 from bitfuse.experiments import (
     DiscreteSamplingRegime,
     ExperimentConfig,
@@ -31,6 +35,7 @@ from bitfuse.fusion import (
     DECENTRALIZED_FIXED,
     DECENTRALIZED_SEQUENTIAL,
     TIMING_ONLY,
+    centralized_estimates,
     reconstruct,
 )
 from bitfuse.models import ModelKind, ModelSpec, TimeGrid, build_model, path_statistics, simulate_paths
@@ -456,8 +461,8 @@ def test_sequential_statistics_end_past_both_stops(monkeypatch, spec, lam):
     steps = []
     compute = experiments.path_statistics
 
-    def spy(paths, model, reach):
-        stats = compute(paths, model, reach)
+    def spy(paths, model, reach, out=None):
+        stats = compute(paths, model, reach, out)
         steps.append(stats.grid.n_steps)
         return stats
 
@@ -466,9 +471,9 @@ def test_sequential_statistics_end_past_both_stops(monkeypatch, spec, lam):
     assert all(r.ok for r in cut.rows)
     cut_steps, steps[:] = steps[:], []
 
-    def whole(paths, model, reach):
+    def whole(paths, model, reach, out=None):
         # drops the cut: statistics over the attempt's whole horizon
-        stats = compute(paths, model)
+        stats = compute(paths, model, out=out)
         steps.append(stats.grid.n_steps)
         return stats
 
@@ -511,6 +516,156 @@ def test_a_sequential_attempt_forms_its_information_once(monkeypatch):
     assert all(r.ok for r in rows)
     assert len(attempts) > 1
     assert calls == [(0, 0), (1, 1)] * len(attempts)
+
+
+# -- one sensor at a time ----------------------------------------------------
+
+
+def _whole_model_rows(cfg, point_index, rep):
+    """One fixed-horizon or discrete-sampling replication's rows from the
+    public whole-model layers: ``simulate_paths`` on the K-sensor model,
+    ``path_statistics``, ``run_triggers``, ``reconstruct`` and the
+    estimators, as (ok, value, info_used, a_at_stop, messages_used,
+    b_messages, a_messages, eta_sum, std_error, fail_reason) tuples."""
+    model = build_model(cfg.model)
+    point = cfg.regime.points()[point_index]
+    t = cfg.regime.horizon(point)
+    failed = (False, math.nan, math.nan, math.nan, 0, 0, 0, 0.0, math.nan)
+    try:
+        paths = simulate_paths(model, cfg.lambda_true, cfg.grid_for(t),
+                               cfg.replication_seed(point_index, rep))
+        stats = path_statistics(paths, model)
+        log = run_triggers(stats, model, cfg.regime.trigger_configs(model, point))
+        state = reconstruct(log, model)
+    except BitfuseError as exc:
+        return [failed + (f"{type(exc).__name__}: {exc}",) for _ in cfg.estimators]
+    estimate = {
+        CENTRALIZED_FIXED: lambda: centralized_estimates(stats, t=t)[0],
+        DECENTRALIZED_FIXED: lambda: fusion.estimate_fixed(state, t),
+        TIMING_ONLY: lambda: fusion.estimate_timing_only(state, t),
+    }
+    a_t = float(stats.A[-1])
+    b_n, a_n = state.message_counts(t)
+    eta = sum(float(bm.overshoot[: np.searchsorted(bm.time, t, side="right")].sum())
+              for bm in log.b)
+    rows = []
+    for est in cfg.estimators:
+        try:
+            res = estimate[est]()
+        except BitfuseError as exc:
+            rows.append(failed + (f"{type(exc).__name__}: {exc}",))
+            continue
+        rows.append((True, res.value, res.info_used, a_t, res.messages_used, b_n, a_n, eta,
+                     math.sqrt(a_t) * (res.value - cfg.lambda_true), ""))
+    return rows
+
+
+def _fields(row):
+    return (row.ok, row.value, row.info_used, row.a_at_stop, row.messages_used, row.b_messages,
+            row.a_messages, row.eta_sum, row.std_error, row.fail_reason)
+
+
+def _same(a, b):
+    # field by field, NaN equal to NaN
+    return len(a) == len(b) and all(u == v or (u != u and v != v) for u, v in zip(a, b))
+
+
+def test_only_kinds_with_independent_sequential_draws_split():
+    # the rows of every kind that splits are compared with the whole
+    # model's below; a kind that starts splitting needs its case there
+    split = {spec.kind for spec, _ in ALL_CATALOG if build_model(spec).parts()[0].K < spec.K}
+    assert split == {ModelKind.BROWNIAN_CONSTANT}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(1, 5),
+    x=st.lists(st.one_of(st.floats(0.2, 3.0), st.floats(-3.0, -0.2)), min_size=5, max_size=5),
+    lam=st.floats(-1.0, 1.0),
+    a=st.floats(0.3, 3.0),
+    n=st.integers(16, 800),
+    spu=st.sampled_from([4.0, 10.0, 40.0]),
+    strides=st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True),
+    discrete=st.booleans(),
+    master_seed=st.integers(0, 2**32 - 1),
+)
+# every path passes the blow-up cap: every row fails, the same way
+@example(K=3, x=[1e13] * 5, lam=1.0, a=1.0, n=40, spu=4.0, strides=[1], discrete=False,
+         master_seed=1)
+@example(K=2, x=[2e6, 1e7, 1, 1, 1], lam=1.0, a=1.0, n=40, spu=4.0, strides=[2],
+         discrete=True, master_seed=1)
+def test_split_rows_equal_rows_from_the_whole_model(K, x, lam, a, n, spu, strides, discrete,
+                                                     master_seed):
+    # one sensor at a time in the engine, all K at once through the public
+    # layers: the same draws, statistics, messages and rows
+    t = n / spu
+    rule = PowerLawRule(a, 0.25)
+    if discrete:
+        regime = DiscreteSamplingRegime(t=t, delta_rule=rule, h_list=tuple(k * t / n for k in strides))
+    else:
+        regime = FixedHorizonRegime(t_list=(t, t / 2), delta_rule=rule)
+    cfg = ExperimentConfig(
+        model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=K, x=tuple(x[:K])),
+        lambda_true=lam,
+        regime=regime,
+        n_replications=2,
+        master_seed=master_seed,
+        estimators=(DECENTRALIZED_FIXED, CENTRALIZED_FIXED, TIMING_ONLY),
+        grid_steps_per_unit=spu,
+    )
+    for pi in range(len(regime.points())):
+        for rep in range(2):
+            got = [_fields(r) for r in run_replication(cfg, pi, rep)]
+            want = _whole_model_rows(cfg, pi, rep)
+            assert all(_same(g, w) for g, w in zip(got, want)) and len(got) == len(want), (got, want)
+            if x[0] == 1e13:
+                assert all(not g[0] and "path magnitude" in g[-1] for g in got)
+
+
+def test_a_split_replication_reports_the_first_error_in_sensor_order():
+    # sensor 0's bit trigger floods before sensor 1 is simulated, so its
+    # MessageFlood is reported; the whole model's path check, which comes
+    # before any trigger, reports sensor 1's blow-up
+    cfg = small_cfg(
+        model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=2, x=(1.0, 1e13)),
+        regime=FixedHorizonRegime(t_list=(5.0,), delta_rule=PowerLawRule(1e-9, 0.0)),
+    )
+    rows = run_replication(cfg, 0, 0)
+    assert all(not r.ok and r.fail_reason.startswith("MessageFlood") for r in rows)
+    assert all(w[-1].startswith("NumericalBlowup: path magnitude")
+               for w in _whole_model_rows(cfg, 0, 0))
+    # without a message-reading estimator no trigger runs: sensor 1's path
+    rows = run_replication(replace(cfg, estimators=(CENTRALIZED_FIXED,)), 0, 0)
+    assert [r.fail_reason.split(":")[0] for r in rows] == ["NumericalBlowup"]
+
+
+def _replication_peak(K, n):
+    cfg = ExperimentConfig(
+        model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=K, x=(1.0,) * K),
+        lambda_true=0.5,
+        regime=FixedHorizonRegime(t_list=(n / 20.0,), delta_rule=PowerLawRule(1.0, 0.25)),
+        n_replications=2,
+        master_seed=4,
+        estimators=(DECENTRALIZED_FIXED, TIMING_ONLY, CENTRALIZED_FIXED),
+        grid_steps_per_unit=20.0,
+    )
+    run_replication(cfg, 0, 0)
+    tracemalloc.start()
+    try:
+        rows = run_replication(cfg, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.ok for r in rows)
+    return peak
+
+
+def test_fixed_horizon_brownian_replication_memory_does_not_grow_with_K():
+    # one sensor's path row at a time, over which its B_i is formed, and
+    # the closed-form A row: holding every sensor's path and B_i, as the
+    # whole model does (2K + 3 rows of the grid), puts K = 8 at ~3.8 x K = 1
+    n = 100_000
+    assert _replication_peak(8, n) <= 1.25 * _replication_peak(1, n)
 
 
 # the child limits its own address space before it imports numpy
@@ -585,6 +740,49 @@ PINNED_ROWS = (
             grid_steps_per_unit=200.0,
         ),
         "ccbaa515c575a804160e4b8555f9d8bedf7e350b88aa4a884ca8af3d3566ba3d",
+    ),
+    # recorded while every fixed-horizon and discrete replication still
+    # held all of its sensors' paths; Brownian now runs one sensor at a time
+    (
+        "brownian-fixed-horizon",
+        ExperimentConfig(
+            model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=3, x=(1.0, -0.5, 2.0)),
+            lambda_true=0.6,
+            regime=FixedHorizonRegime(t_list=(20.0, 45.0), delta_rule=PowerLawRule(1.0, 0.25)),
+            n_replications=6,
+            master_seed=17,
+            estimators=(DECENTRALIZED_FIXED, CENTRALIZED_FIXED, TIMING_ONLY),
+            grid_steps_per_unit=40.0,
+        ),
+        "51359612e3e34e6dbe145768e7b6e5a173845ed57f775e94ade8004a0dd3747c",
+    ),
+    (
+        "brownian-discrete-sampling",
+        ExperimentConfig(
+            model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=2, x=(1.0, -1.5)),
+            lambda_true=0.4,
+            regime=DiscreteSamplingRegime(t=30.0, delta_rule=PowerLawRule(1.0, 0.25),
+                                          h_list=(0.25, 0.75)),
+            n_replications=6,
+            master_seed=19,
+            estimators=(DECENTRALIZED_FIXED, CENTRALIZED_FIXED, TIMING_ONLY),
+            grid_steps_per_unit=40.0,
+        ),
+        "a685a23a6cfd9ffa7a14f6110c24c11d765a21b48c6f5f282ba5bfd8404c4b1a",
+    ),
+    # OU stays whole; its oracle now reads the totals at the horizon
+    (
+        "ou-fixed-horizon-oracle",
+        ExperimentConfig(
+            model=ModelSpec(kind=ModelKind.ORNSTEIN_UHLENBECK, K=3, alpha=(1.0, 0.5, 2.0)),
+            lambda_true=-0.3,
+            regime=FixedHorizonRegime(t_list=(5.0, 12.0), delta_rule=PowerLawRule(1.0, 0.25)),
+            n_replications=6,
+            master_seed=23,
+            estimators=(CENTRALIZED_FIXED,),
+            grid_steps_per_unit=100.0,
+        ),
+        "5d218c23ab7400260447b09bd1a72e53dfca78f8d567eb153e1cd07f9ef46962",
     ),
 )
 

@@ -157,7 +157,7 @@ def test_non_finite_path_is_blowup(monkeypatch, bad):
     grid = TimeGrid(1.0, 10)
     Y = np.zeros((2, 11))
     Y[1, 5] = bad
-    monkeypatch.setattr(m, "simulate", lambda lam, grid, rng: Y)
+    monkeypatch.setattr(m, "simulate", lambda lam, grid, rng, out=None: Y)
     with pytest.raises(NumericalBlowup):
         simulate_paths(m, 0.5, grid, seed=1)
 
@@ -456,6 +456,71 @@ def test_constant_weight_integral_is_the_riemann_sum(spec, lam, n, t_end, seed):
     # bit for bit, signed zeros included (a negative weight times a zero
     # increment is -0.0)
     assert s.B.tobytes() == s.B_i.sum(axis=0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=_constant_weight_specs(),
+    lam=st.floats(-1.0, 1.0),
+    n=st.integers(1, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integrals_formed_over_the_callers_path_array(spec, lam, n, seed):
+    # the caller's array takes the paths, then B_i over them, with the
+    # statistics of fresh arrays bit for bit; one sensor's total B is its
+    # own row, with no negative zero
+    m = build_model(spec)
+    grid = TimeGrid(2.0, n)
+    want = path_statistics(simulate_paths(m, lam, grid, seed), m)
+    buf = np.full((spec.K, n + 1), np.nan)
+    got = path_statistics(simulate_paths(m, lam, grid, seed, buf), m, out=buf)
+    assert got.B_i.base is buf and buf.flags.writeable
+    for f in ("A", "B_i", "B"):
+        assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+    if spec.K == 1:
+        assert np.shares_memory(got.B, got.B_i)
+        assert not np.any(np.signbit(got.B) & (got.B == 0.0))
+
+
+@pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])
+def test_paths_into_the_callers_array(spec, lam):
+    m = build_model(spec)
+    grid = TimeGrid(1.5, 300)
+    buf = np.full((spec.K, 301), np.nan)
+    paths = simulate_paths(m, lam, grid, 4, buf)
+    assert np.shares_memory(paths.Y, buf) and buf.flags.writeable and not paths.Y.flags.writeable
+    assert buf.tobytes() == simulate_paths(m, lam, grid, 4).Y.tobytes()
+    with pytest.raises(GridMismatch):
+        simulate_paths(m, lam, grid, 4, np.empty((spec.K, 300)))
+    with pytest.raises(GridMismatch):
+        simulate_paths(m, lam, grid, 4, np.empty((301, spec.K)).T)
+    if m.x_values(paths.Y[:, :-1], grid.times()[:-1]).shape[1] > 1:
+        # time-varying weights read the path after B_i starts
+        with pytest.raises(InvalidSpec):
+            path_statistics(paths, m, out=buf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 5),
+    x=st.lists(st.floats(0.1, 5.0) | st.floats(-5.0, -0.1), min_size=5, max_size=5),
+    lam=st.floats(-2.0, 2.0),
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parts_drawn_from_one_generator_are_the_models_rows(K, x, lam, n, seed):
+    # each kind's parts, simulated one after another from one generator
+    # into one row, are the whole model's paths bit for bit
+    grid = TimeGrid(3.0, n)
+    specs = [s for s, _ in ALL_CATALOG] + [ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=K, x=tuple(x[:K]))]
+    for spec in specs:
+        m = build_model(spec)
+        parts = m.parts()
+        assert sum(p.K for p in parts) == m.K and (parts == (m,) or all(p.K == 1 for p in parts))
+        rng = np.random.default_rng(seed)
+        buf = np.empty((parts[0].K, n + 1))
+        rows = [simulate_paths(p, lam, grid, rng, buf).Y.copy() for p in parts]
+        assert np.concatenate(rows).tobytes() == simulate_paths(m, lam, grid, seed).Y.tobytes()
 
 
 @pytest.mark.parametrize("spec,lam", ALL_CATALOG, ids=[s.kind.value for s, _ in ALL_CATALOG])
