@@ -76,6 +76,11 @@ class SampleTooSmall(BitfuseError):
     """Statistical test invoked with too few observations."""
 
 
+class WorkerDied(BitfuseError):
+    """A worker process of ``run_experiment`` died before returning its
+    replications' rows."""
+
+
 class ParseError(BitfuseError):
     """Configuration text is not well formed."""
 

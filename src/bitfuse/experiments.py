@@ -14,9 +14,10 @@ select on the stopping time.
 What a replication holds depends on its regime and model kind.  In the
 fixed-horizon and discrete-sampling regimes a kind whose sensors are
 independent and draw their noise one after another (constant-weight
-Brownian) runs one sensor at a time: one path row, over which the
-sensor's B_i is formed, the closed-form A row and the grid times, plus
-every sensor's messages, whatever K is.  The sequential regime, whose
+Brownian) runs one sensor at a time: two path rows, one over which the
+sensor's B_i is formed and one into which the next sensor's draws are
+made on a second thread, and the grid times, plus every sensor's
+messages, whatever K is.  The sequential regime, whose
 cut reads the total information, and the kinds that couple their
 sensors or whose rows are not split (Gaussian, OU, square-root,
 correlated) hold the K paths and the statistics of ``path_statistics``,
@@ -36,12 +37,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BitfuseError, HorizonExhausted, InvalidSpec, SampleTooSmall
+from .errors import BitfuseError, HorizonExhausted, InvalidSpec, SampleTooSmall, WorkerDied
 from . import fusion
 from .fusion import (
     CENTRALIZED_FIXED,
@@ -96,6 +98,12 @@ __all__ = [
 ]
 
 _MAX_HORIZON_EXTENSIONS = 64
+# the fewest grid steps at which a split attempt draws the next sensor's
+# normals on a second thread (``_DrawAhead``): below it the thread's start
+# and hand-offs cost more than the draws they overlap.  The break-even of
+# K = 2, the fewest sensors that draw ahead, measured on a 2-core Xeon
+# (BENCH_30.json); more sensors break even on shorter grids
+DRAW_AHEAD_MIN_STEPS = 50_000
 # most sensors x grid steps on a replication's starting grid: a
 # replication peaks at up to ~110 bytes a sensor step (OU and Gaussian
 # kinds, K = 2), so ~0.9 GB here
@@ -466,6 +474,61 @@ def _outcome(est, point, t_end, stats, ends, state):
         return exc
 
 
+class _DrawAhead:
+    """The path rows of an attempt's one-sensor parts, each part's draws
+    made while the part before it is processed.
+
+    Two rows of the grid: part k is drawn into row k % 2.  When the
+    caller takes that row (``row(k)``), this object's thread starts
+    drawing part k + 1 into the other row (``Model.draw``, which calls
+    nothing but the generator) while the caller simulates part k,
+    computes its statistics and runs its triggers.  Part 0 is drawn on
+    the caller's thread.  One thread at a time draws, in sensor order and
+    a row per call, so the stream and the paths are those of a single
+    thread.  The caller must hold nothing of part k - 1's row when it
+    asks for part k's.  With one part, or on fewer than
+    ``DRAW_AHEAD_MIN_STEPS`` steps, the caller's thread draws every part
+    and no thread is started; the second row is allocated either way but
+    written only when there is a next part.  With no parts (a whole
+    model, which draws its own noise) nothing is allocated and ``row``
+    gives None.  Leaving the ``with`` block joins the thread once its
+    draw is done; an error raised in that draw is dropped, the caller's
+    own error coming first in sensor order.
+    """
+
+    def __init__(self, rng, parts, n_steps):
+        self.rng, self.parts = rng, parts
+        # both rows in one array: a replication then takes ~30 minor page
+        # faults instead of ~1,200 with two (K = 8, 200k steps), as glibc
+        # keeps more of its heap's top after a larger block is freed
+        rows = np.empty((2, n_steps + 1)) if parts else None
+        self.rows = [] if rows is None else [rows[:1], rows[1:]]
+        ahead = len(parts) > 1 and n_steps >= DRAW_AHEAD_MIN_STEPS
+        self.pool = ThreadPoolExecutor(max_workers=1) if ahead else None
+        self.drawn = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
+        return False
+
+    def row(self, k):
+        """Part k's (1, n_steps + 1) row, holding its draws."""
+        if not self.parts:
+            return None
+        if self.drawn is None:
+            self.parts[k].draw(self.rng, self.rows[k % 2])
+        else:
+            self.drawn.result()
+        self.drawn = None
+        if self.pool is not None and k + 1 < len(self.parts):
+            self.drawn = self.pool.submit(self.parts[k + 1].draw, self.rng, self.rows[(k + 1) % 2])
+        return self.rows[k % 2]
+
+
 def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     """Run one replication at one regime point; returns (rows, warnings).
 
@@ -476,14 +539,22 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
     Each part's paths are simulated and their statistics computed, in the
     sequential regime only on the grid prefix that holds both stops
     (``path_statistics`` with ``reach``), and its sensors' triggers run
-    over the statistics' grid.  One-sensor parts share one path row, over
-    which each forms its B_i, so such an attempt holds one sensor's path
-    at a time and keeps its messages and the totals at the horizon: B(t)
-    is the parts' B(t) added from +0.0 in sensor order, as the B row
-    adds, and A(t) the model's closed form, or with random information
-    the parts' A(t) added the same way.  The oracles, which read no message, run once the last part's statistics
-    are in and before its triggers: an attempt whose horizon they exhaust
-    runs no trigger on them.  The estimators that read messages follow.
+    over the statistics' grid.  One-sensor parts take turns in two path
+    rows (``_DrawAhead``): part k's row holds its draws, then its path,
+    over which it forms its B_i, while a second thread, joined before the
+    attempt ends, draws part k + 1 into the other row from the same
+    generator (on grids of ``DRAW_AHEAD_MIN_STEPS`` steps or more; on
+    shorter ones the calling thread draws it when it gets there).  One
+    thread at a time draws, in sensor order, so the draws are those of a
+    single thread; everything else runs on the calling thread.  Such an
+    attempt holds one sensor's path at a time and keeps its messages and
+    the totals at the horizon: B(t) is the parts' B(t) added from +0.0
+    in sensor order, as the B row adds, and A(t) the model's closed form,
+    which the parts' statistics never form, or with random information
+    the parts' A(t) added the same way.  The oracles, which read no
+    message, run once the last part's statistics are in and before its
+    triggers: an attempt whose horizon they exhaust runs no trigger on
+    them.  The estimators that read messages follow.
     In the sequential regime an attempt whose horizon is too short for
     some estimator to stop is followed by one on a longer horizon,
     simulated from the same seed.  A ``BitfuseError`` from the
@@ -514,26 +585,28 @@ def _replicate(cfg: ExperimentConfig, point_index: int, rep: int):
         try:
             grid = cfg.grid_for(t_end)
             rng = np.random.default_rng(seed)
-            row = np.empty((1, grid.n_steps + 1)) if parts[0] is not model else None
             a_logs, b_logs, b_t, a_t, outcomes = [], [], 0.0, 0.0, []
-            for k, part in enumerate(parts, 1):
-                # the previous part's statistics go before this part's are formed
-                stats = None
-                paths = simulate_paths(part, cfg.lambda_true, grid, rng, row)
-                stats = path_statistics(paths, part, reach, row)
-                b_t += float(stats.B[-1])
-                if not model.deterministic_info:
-                    a_t += float(stats.A[-1])
-                if k == len(parts):
-                    if model.deterministic_info:
-                        a_t = float(model.det_info(t_end))
-                    outcomes = [_outcome(est, point, t_end, stats, (b_t, a_t), None)
-                                if est in _ORACLES else None for est in cfg.estimators]
-                if need_log and not any(isinstance(o, HorizonExhausted) for o in outcomes):
-                    a, b = _messages(stats, cfgs[len(b_logs):len(b_logs) + part.K],
-                                     point if sequential else None)
-                    a_logs += a
-                    b_logs += b
+            with _DrawAhead(rng, parts if parts[0] is not model else (), grid.n_steps) as draws:
+                for k, part in enumerate(parts, 1):
+                    # the previous part's statistics go before its row takes new draws
+                    stats = None
+                    row = draws.row(k - 1)
+                    paths = simulate_paths(part, cfg.lambda_true, grid,
+                                           rng if row is None else None, row)
+                    stats = path_statistics(paths, part, reach, row)
+                    b_t += float(stats.B[-1])
+                    if not model.deterministic_info:
+                        a_t += float(stats.A[-1])
+                    if k == len(parts):
+                        if model.deterministic_info:
+                            a_t = float(model.det_info(t_end))
+                        outcomes = [_outcome(est, point, t_end, stats, (b_t, a_t), None)
+                                    if est in _ORACLES else None for est in cfg.estimators]
+                    if need_log and not any(isinstance(o, HorizonExhausted) for o in outcomes):
+                        a, b = _messages(stats, cfgs[len(b_logs):len(b_logs) + part.K],
+                                         point if sequential else None)
+                        a_logs += a
+                        b_logs += b
             state = None
             if len(b_logs) == model.K:  # every sensor's triggers ran
                 state = reconstruct(MessageLog(b=tuple(b_logs), a=tuple(a_logs), cfgs=cfgs,
@@ -574,8 +647,8 @@ def run_replication(cfg: ExperimentConfig, point_index: int = 0, rep: int = 0):
     return rows
 
 
-def _replicate_star(args):
-    return _replicate(*args)
+def _replicate_chunk(cfg, keys):
+    return [_replicate(cfg, pi, rep) for pi, rep in keys]
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -585,17 +658,29 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     completion order: rows are keyed by (point, replication) and sorted
     before aggregation.  The pool has at most one worker process per task
     and per usable core, whatever ``threads`` asks for: a forked pool
-    starts all of its workers at the first task.
+    starts all of its workers at the first task.  It gets the
+    replications in about 8 chunks a worker; a worker that dies (killed,
+    or out of memory) breaks the pool, and ``WorkerDied`` names the first
+    replication whose rows did not come back.
     """
     points = cfg.regime.points()
-    tasks = [(cfg, pi, rep) for pi in range(len(points)) for rep in range(cfg.n_replications)]
-    workers = min(threads, len(tasks), len(os.sched_getaffinity(0)))
+    keys = [(pi, rep) for pi in range(len(points)) for rep in range(cfg.n_replications)]
+    workers = min(threads, len(keys), len(os.sched_getaffinity(0)))
     if workers > 1:
+        size = max(1, len(keys) // (8 * workers))
+        chunks = [keys[i:i + size] for i in range(0, len(keys), size)]
+        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (8 * workers))
-            results = list(pool.map(_replicate_star, tasks, chunksize=chunk))
+            futures = [pool.submit(_replicate_chunk, cfg, chunk) for chunk in chunks]
+            for chunk, future in zip(chunks, futures):
+                try:
+                    results += future.result()
+                except BrokenProcessPool:
+                    pi, rep = chunk[0]
+                    raise WorkerDied(f"a worker process died before the rows of point="
+                                     f"{points[pi]:g} rep={rep} came back") from None
     else:
-        results = [_replicate(*t) for t in tasks]
+        results = _replicate_chunk(cfg, keys)
 
     est_order = {e: k for k, e in enumerate(cfg.estimators)}
     point_order = {p: k for k, p in enumerate(points)}

@@ -41,9 +41,11 @@ information and 2K + 2 for random information, on top of the paths' K.
 A replication need not hold them all: where the sensors are independent
 and draw their noise one after another (``Model.parts``), the paths can
 be simulated one sensor at a time into the caller's row
-(``simulate_paths``' ``out``), and a constant-weight B_i formed over it
-(``path_statistics``' ``out``); one sensor's total B is its own B_i row,
-so such a sensor holds its row, the closed-form A and the grid times.
+(``simulate_paths``' ``out``), from draws made into it ahead of time
+(``Model.draw``, which another thread may run), and a constant-weight
+B_i formed over it (``path_statistics``' ``out``); one sensor's total B
+is its own B_i row, and its closed-form A is formed only if it is read,
+so such a sensor holds its row and the grid times.
 
 The exponential-integrability condition that makes the drifted law a
 proper change of measure is assumed for every catalog model and is not
@@ -56,7 +58,7 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -77,6 +79,9 @@ __all__ = [
 ]
 
 _BLOWUP_CAP = 1e12
+# steps of the Brownian drift formed at a time in ``simulate``'s scratch
+# buffer (128 kB): the path row needs no second row of the grid for it
+_DRIFT_BLOCK = 1 << 14
 
 
 class ModelKind(str, Enum):
@@ -221,6 +226,30 @@ class SensorPaths:
         self.Y.flags.writeable = False
 
 
+class _FormedOnRead:
+    """A dataclass field that may be given as a function of no arguments:
+    the first read calls it and keeps its array, read-only, in its place,
+    as ``TimeGrid.times()`` keeps the grid times."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # the field has no default
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = value()
+            value.flags.writeable = False
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        # only the dataclass's __init__ gets here: a frozen instance's
+        # __setattr__ raises first
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class PathStats:
     """Pathwise sufficient statistics on the simulation grid.
@@ -229,19 +258,23 @@ class PathStats:
     and ``B_i`` (shape (K, n + 1)) and the totals ``A`` and ``B``, whose
     A includes the cross-variations of the model's ``cross_pairs``.
     ``A_i`` is None when the model's information is deterministic: its
-    rows are the closed form ``Model.det_info_i``.  The fields come in
-    the order ``path_statistics`` forms them, the information first.
+    rows are the closed form ``Model.det_info_i``.  ``A`` may be given as
+    a function that forms it, which runs on its first read: a statistic
+    of deterministic information that is never read, as the engine's
+    one-sensor parts never read theirs, is never formed.  The fields
+    come in the order ``path_statistics`` forms them, the information
+    first.
     """
 
     grid: TimeGrid
     A_i: np.ndarray | None
-    A: np.ndarray
+    A: np.ndarray = _FormedOnRead()
     B_i: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        for a in (self.A_i, self.A, self.B_i, self.B):
-            if a is not None:
+        for a in (self.A_i, self.__dict__["A"], self.B_i, self.B):
+            if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
     def value_at(self, arr: np.ndarray, t):
@@ -303,17 +336,27 @@ class Model:
 
     # -- interface implemented per kind ---------------------------------
 
-    def simulate(self, lam: float, grid: TimeGrid, rng: np.random.Generator,
+    def simulate(self, lam: float, grid: TimeGrid, rng: np.random.Generator | None,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """The (K, n_steps + 1) paths, written into ``out`` when given."""
+        """The (K, n_steps + 1) paths, written into ``out`` when given.
+        With ``rng`` None, ``out`` already holds the draws of ``draw``."""
         raise NotImplementedError
+
+    # kinds whose paths can be formed from draws made ahead define
+    # draw(rng, out): it writes the paths' noise into the second to last
+    # columns of the (K, n_steps + 1) array ``out`` and calls nothing but
+    # the generator, so another thread may run it
+    draw = None
 
     def parts(self) -> tuple:
         """The models an attempt simulates one after another from its one
         generator: the model itself, or K one-sensor models when the
         sensors are independent and draw their noise one after another
         ((K, n) in C order), so that the parts' paths are the model's rows
-        bit for bit."""
+        bit for bit.  One-sensor parts have ``draw``: a part's draws may
+        be made into its row on another thread while the part before it
+        is processed, as long as one thread at a time draws, in sensor
+        order."""
         return (self,)
 
     def x_values(self, Y: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -352,21 +395,32 @@ class _BrownianConstantModel(Model):
             raise InvalidSpec(f"weights x must be finite and nonzero, got {list(spec.x)}")
         self.x = np.asarray(spec.x, dtype=float)
 
+    def draw(self, rng, out):
+        # a row's n normals a call, as simulate draws them: the rows of one
+        # (K, n) call in C order
+        for row in out:
+            rng.standard_normal(out=row[1:])
+
     def simulate(self, lam, grid, rng, out=None):
-        # one sensor at a time through one n-long buffer: standard_normal
-        # fills it in C order, so the draws are those of one (K, n) call
-        # the drift (lam x) t is formed in the same buffer once the row's
-        # cumsum has read the draws; adding it at t = 0 would add zero
+        """Each sensor's row in place, while it is in cache: its draws
+        (made here, unless they were drawn ahead into ``out``) are scaled
+        and summed into the path, and the drift (lam x) t is added a block
+        of steps at a time through a small scratch buffer; adding it at
+        t = 0 would add zero."""
         times = grid.times()[1:]
         sdt = np.sqrt(grid.dt)
-        noise = np.empty(grid.n_steps)
+        n = grid.n_steps
+        scratch = np.empty(min(n, _DRIFT_BLOCK))
         Y = _path_array(self.K, grid, out)
         Y[:, 0] = 0.0
-        for row, x in zip(Y, self.x):
-            rng.standard_normal(out=noise)
-            noise *= sdt
-            np.cumsum(noise, out=row[1:])
-            row[1:] += np.multiply(times, lam * x, out=noise)
+        for w, x in zip(Y[:, 1:], self.x):
+            if rng is not None:
+                rng.standard_normal(out=w)
+            w *= sdt
+            np.cumsum(w, out=w)
+            for s in range(0, n, _DRIFT_BLOCK):
+                e = min(s + _DRIFT_BLOCK, n)
+                w[s:e] += np.multiply(times[s:e], lam * x, out=scratch[:e - s])
         return Y
 
     def parts(self):
@@ -662,10 +716,16 @@ def simulate_paths(model: Model, lam: float, grid: TimeGrid, seed, out=None) -> 
     bit-identical paths; a ``np.random.Generator`` is used as it is, so
     calls on one generator continue its stream.  With ``out``, the
     caller's C-contiguous (K, n_steps + 1) float array, the paths are
-    written there and ``SensorPaths.Y`` is a read-only view of it.  A
-    path beyond ``_BLOWUP_CAP`` in magnitude raises ``NumericalBlowup``.
+    written there and ``SensorPaths.Y`` is a read-only view of it.  With
+    ``seed`` None, ``out`` already holds the model's draws
+    (``Model.draw``), from which the paths are formed in place; a kind
+    with no ``draw`` raises ``InvalidSpec``.  A path beyond
+    ``_BLOWUP_CAP`` in magnitude raises ``NumericalBlowup``.
     """
-    rng = np.random.default_rng(seed)
+    if seed is None and (model.draw is None or out is None):
+        raise InvalidSpec("paths formed from draws made ahead need a kind that draws ahead "
+                          "and the array that holds the draws")
+    rng = None if seed is None else np.random.default_rng(seed)
     Y = model.simulate(float(lam), grid, rng, out)
     # reductions, not abs(): no temporary of the path's size; NaN fails the test
     if not (-_BLOWUP_CAP <= Y.min() and Y.max() <= _BLOWUP_CAP):
@@ -691,15 +751,17 @@ def path_statistics(paths: SensorPaths, model: Model, reach: float | None = None
     added into B while it is in cache, starting from +0.0 and in sensor
     order as ``B_i.sum(axis=0)`` adds, so B has the same bits.
     Time-varying weights are summed step by step.  Deterministic
-    information is the closed form: A is ``model.det_info`` and ``A_i``
-    is None, its rows being ``model.det_info_i``.  Random information
-    accumulates the model's diffusion coefficients, so the per-step
-    cross-variation bound |A_ij| <= (A_i + A_j)/2 holds exactly; A is
-    the sum of the A_i plus each pair of ``model.cross_pairs``, added as
-    it is formed.  Memory is K + 2 rows of the grid for deterministic
-    information and 2K + 2 for random information, one row less for one
-    sensor with a constant weight: its B is its own B_i row, 0.0 + B_1
-    formed in place (so B_1's zeros are +0.0 there).  With ``out``, the
+    information is the closed form: A is ``model.det_info``, formed on
+    its first read (``PathStats.A``; at once with ``reach``), and
+    ``A_i`` is None, its rows being ``model.det_info_i``.  Random
+    information accumulates the model's diffusion coefficients, so the
+    per-step cross-variation bound |A_ij| <= (A_i + A_j)/2 holds exactly;
+    A is the sum of the A_i plus each pair of ``model.cross_pairs``,
+    added as it is formed.  Memory is K + 2 rows of the grid for
+    deterministic information (K + 1 until A is read) and 2K + 2 for
+    random information, one row less for one sensor with a constant
+    weight: its B is its own B_i row, 0.0 + B_1 formed in place (so
+    B_1's zeros are +0.0 there).  With ``out``, the
     caller's array of the paths' shape, B_i is formed in its first
     columns instead of a new array.  It may be the array the paths were
     simulated into (``simulate_paths``' ``out``) when the weights are
@@ -728,7 +790,10 @@ def path_statistics(paths: SensorPaths, model: Model, reach: float | None = None
     Yl, tl = paths.Y[:, :-1], times[:-1]
     X = model.x_values(Yl, tl)
     if model.deterministic_info:
-        A_i, A = None, model.det_info(times)
+        # formed on the first read (``PathStats.A``), or now for the cut
+        A_i, A = None, partial(model.det_info, times)
+        if reach is not None:
+            A = A()
     else:
         def random_part(i, j):
             out = np.zeros(times.size)

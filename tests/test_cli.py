@@ -449,3 +449,36 @@ def test_work_past_the_budget_exits_1_under_a_memory_limit(tmp_path, case):
     assert res.returncode == 1, res.stderr
     assert "budget" in res.stderr and "Traceback" not in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+# the child's first replication kills the worker process running it; two
+# usable cores, so that the experiment runs in a pool on any machine
+DYING_WORKER_MAIN = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from bitfuse import experiments
+from bitfuse.cli import main
+replicate = experiments._replicate
+
+def dying(cfg, point_index, rep):
+    if rep == 0:
+        os._exit(7)
+    return replicate(cfg, point_index, rep)
+
+experiments._replicate = dying
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_dead_worker_exits_2_naming_the_first_unfinished_replication(tmp_path):
+    doc = minimal_doc(output=str(tmp_path / "out"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", DYING_WORKER_MAIN, "experiment", "--config",
+                          _write_cfg(tmp_path, doc), "--threads", "2"], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "runtime error: a worker process died before the rows of point=50 rep=0" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list((tmp_path / "out").glob("rows_*.csv"))

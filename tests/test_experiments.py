@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +17,13 @@ from scipy import special
 from test_models import ALL_CATALOG
 
 from bitfuse import experiments, fusion
-from bitfuse.errors import BitfuseError, HorizonExhausted, InvalidSpec, SampleTooSmall
+from bitfuse.errors import (
+    BitfuseError,
+    HorizonExhausted,
+    InvalidSpec,
+    NumericalBlowup,
+    SampleTooSmall,
+)
 from bitfuse.experiments import (
     DiscreteSamplingRegime,
     ExperimentConfig,
@@ -207,8 +215,10 @@ class _RecordedPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def test_worker_pool_is_bounded_by_tasks_and_cores(monkeypatch):
@@ -594,6 +604,11 @@ def test_only_kinds_with_independent_sequential_draws_split():
          master_seed=1)
 @example(K=2, x=[2e6, 1e7, 1, 1, 1], lam=1.0, a=1.0, n=40, spu=4.0, strides=[2],
          discrete=True, master_seed=1)
+# grids long enough that the next sensor is drawn on the second thread
+@example(K=3, x=[1.0, -0.5, 2.0, 1, 1], lam=0.5, a=1.0, n=experiments.DRAW_AHEAD_MIN_STEPS,
+         spu=40.0, strides=[1], discrete=False, master_seed=5)
+@example(K=2, x=[0.7, 1.5, 1, 1, 1], lam=-0.3, a=0.5, n=experiments.DRAW_AHEAD_MIN_STEPS,
+         spu=40.0, strides=[1, 3], discrete=True, master_seed=6)
 def test_split_rows_equal_rows_from_the_whole_model(K, x, lam, a, n, spu, strides, discrete,
                                                      master_seed):
     # one sensor at a time in the engine, all K at once through the public
@@ -637,6 +652,138 @@ def test_a_split_replication_reports_the_first_error_in_sensor_order():
     # without a message-reading estimator no trigger runs: sensor 1's path
     rows = run_replication(replace(cfg, estimators=(CENTRALIZED_FIXED,)), 0, 0)
     assert [r.fail_reason.split(":")[0] for r in rows] == ["NumericalBlowup"]
+
+
+def _long_split_cfg(**kw):
+    """Two Brownian sensors on a grid long enough to draw ahead."""
+    n = experiments.DRAW_AHEAD_MIN_STEPS
+    base = dict(
+        model=BROWNIAN2,
+        regime=FixedHorizonRegime(t_list=(n / 40.0,), delta_rule=PowerLawRule(1.0, 0.25)),
+        n_replications=2,
+        estimators=(DECENTRALIZED_FIXED, TIMING_ONLY, CENTRALIZED_FIXED),
+    )
+    base.update(kw)
+    return small_cfg(**base)
+
+
+def test_a_split_replication_forms_no_information_row(monkeypatch):
+    # the oracle takes A(t) from the whole model's closed form, so no
+    # part's statistics form their A row
+    model_cls = type(build_model(BROWNIAN2))
+    det_info, ndims = model_cls.det_info, []
+
+    def recorded(self, t):
+        ndims.append(np.ndim(t))
+        return det_info(self, t)
+
+    monkeypatch.setattr(model_cls, "det_info", recorded)
+    for cfg in (small_cfg(), _long_split_cfg()):
+        ndims.clear()
+        assert all(r.ok for r in run_replication(cfg, 0, 0))
+        assert ndims and set(ndims) == {0}
+
+
+class _CountedPool(ThreadPoolExecutor):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_no_draw_thread_outlives_a_split_replication(monkeypatch):
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _CountedPool)
+    monkeypatch.setattr(_CountedPool, "made", 0)
+    before = threading.active_count()
+    assert all(r.ok for r in run_replication(_long_split_cfg(), 0, 0))
+    assert threading.active_count() == before and _CountedPool.made == 1
+    # the setup of test_a_split_replication_reports_the_first_error_in_sensor_order
+    # on a long grid: sensor 0's triggers flood while sensor 1 is drawn
+    cfg = _long_split_cfg(model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=2, x=(1.0, 1e13)),
+                          regime=FixedHorizonRegime(t_list=(experiments.DRAW_AHEAD_MIN_STEPS / 40.0,),
+                                                    delta_rule=PowerLawRule(1e-9, 0.0)))
+    rows = run_replication(cfg, 0, 0)
+    assert all(not r.ok and r.fail_reason.startswith("MessageFlood") for r in rows)
+    assert threading.active_count() == before
+    # no trigger: sensor 1's path, the second part, raises
+    rows = run_replication(replace(cfg, estimators=(CENTRALIZED_FIXED,)), 0, 0)
+    assert [r.fail_reason.split(":")[0] for r in rows] == ["NumericalBlowup"]
+    assert threading.active_count() == before and _CountedPool.made == 3
+
+
+class _FailingDraws:
+    """A generator whose second row of draws raises ``exc``; it records
+    the thread of each draw."""
+
+    def __init__(self, rng, exc):
+        self.rng, self.exc, self.threads = rng, exc, []
+
+    def standard_normal(self, out):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == 2:
+            raise self.exc
+        return self.rng.standard_normal(out=out)
+
+
+@pytest.mark.parametrize("exc", [NumericalBlowup("draw failed"), RuntimeError("draw failed")])
+def test_an_error_in_a_draw_made_ahead_reaches_the_caller(monkeypatch, exc):
+    made, default_rng = [], np.random.default_rng
+
+    def failing_rng(seed):
+        made.append(_FailingDraws(default_rng(seed), exc))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    before = threading.active_count()
+    if isinstance(exc, BitfuseError):
+        rows = run_replication(_long_split_cfg(), 0, 0)
+        assert all(not r.ok and r.fail_reason == "NumericalBlowup: draw failed" for r in rows)
+    else:
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_replication(_long_split_cfg(), 0, 0)
+    assert threading.active_count() == before
+    # sensor 0 is drawn on the caller's thread, sensor 1 on the second
+    (draws,) = made
+    assert draws.threads[0] is threading.current_thread() is not draws.threads[1]
+
+
+# split replications in this process first, so a pool forked from it
+# after them must still draw ahead in its workers; two usable cores, so
+# that threads=2 runs a pool on any machine
+FORK_AFTER_DRAWS = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from bitfuse.experiments import (DRAW_AHEAD_MIN_STEPS, ExperimentConfig, FixedHorizonRegime,
+                                 PowerLawRule, run_experiment, run_replication)
+from bitfuse.models import ModelKind, ModelSpec
+from bitfuse.reporting import rows_csv_text
+cfg = ExperimentConfig(
+    model=ModelSpec(kind=ModelKind.BROWNIAN_CONSTANT, K=3, x=(1.0, 0.5, 2.0)),
+    lambda_true=1.0,
+    regime=FixedHorizonRegime(t_list=(DRAW_AHEAD_MIN_STEPS / 40.0,),
+                              delta_rule=PowerLawRule(1.0, 0.25)),
+    n_replications=4,
+    master_seed=17,
+    estimators=("decentralized_fixed", "centralized_fixed"),
+    grid_steps_per_unit=40.0,
+)
+for rep in range(2):
+    run_replication(cfg, 0, rep)
+pooled = run_experiment(cfg, threads=2)
+print(rows_csv_text(pooled) == rows_csv_text(run_experiment(cfg, threads=1)),
+      sum(r.ok for r in pooled.rows))
+"""
+
+
+def test_a_pool_forked_after_split_replications_gives_the_serial_rows():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", FORK_AFTER_DRAWS], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "8"]
 
 
 def _replication_peak(K, n):

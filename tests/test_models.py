@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bitfuse import models
 from bitfuse.errors import GridMismatch, InvalidSpec, NumericalBlowup
 from bitfuse.experiments import ks_test
 from bitfuse.fusion import centralized_estimates
@@ -163,15 +164,40 @@ def test_non_finite_path_is_blowup(monkeypatch, bad):
 
 
 def test_brownian_rows_match_one_whole_array_draw():
-    # the per-sensor draws against the (K, n) draw they replaced, bit for bit
+    # the per-sensor draws against the (K, n) draw they replaced, bit for
+    # bit, with the drift added in one block and in several; and the same
+    # paths formed from draws made ahead into the caller's array
     m = brownian(K=3, x=(1.0, -2.0, 0.5))
-    grid = TimeGrid(2.0, 1000)
-    Y = simulate_paths(m, 0.7, grid, seed=9).Y
-    noise = np.random.default_rng(9).standard_normal((3, 1000)) * np.sqrt(grid.dt)
-    want = np.zeros((3, 1001))
-    want[:, 1:] = np.cumsum(noise, axis=1)
-    want += 0.7 * m.x[:, None] * grid.times()[None, :]
-    assert Y.tobytes() == want.tobytes()
+    for n in (1000, 2 * models._DRIFT_BLOCK + 7):
+        grid = TimeGrid(2.0, n)
+        Y = simulate_paths(m, 0.7, grid, seed=9).Y
+        noise = np.random.default_rng(9).standard_normal((3, n)) * np.sqrt(grid.dt)
+        want = np.zeros((3, n + 1))
+        want[:, 1:] = np.cumsum(noise, axis=1)
+        want += 0.7 * m.x[:, None] * grid.times()[None, :]
+        assert Y.tobytes() == want.tobytes()
+        buf = np.full((3, n + 1), np.nan)
+        m.draw(np.random.default_rng(9), buf)
+        assert simulate_paths(m, 0.7, grid, None, buf).Y.tobytes() == want.tobytes()
+
+
+def test_deterministic_information_is_formed_on_its_first_read(monkeypatch):
+    m = brownian(K=2, x=(1.0, 3.0))
+    grid = TimeGrid(2.0, 500)
+    calls, det_info = [], m.det_info
+
+    def counted(t):
+        calls.append(t)
+        return det_info(t)
+
+    monkeypatch.setattr(m, "det_info", counted)
+    s = path_statistics(simulate_paths(m, 0.5, grid, seed=3), m)
+    assert calls == []
+    A = s.A
+    assert s.A is A and len(calls) == 1 and not A.flags.writeable
+    assert A.tobytes() == det_info(grid.times()).tobytes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.A = A
 
 
 def test_statistics_blowup_detection():
@@ -494,6 +520,13 @@ def test_paths_into_the_callers_array(spec, lam):
         simulate_paths(m, lam, grid, 4, np.empty((spec.K, 300)))
     with pytest.raises(GridMismatch):
         simulate_paths(m, lam, grid, 4, np.empty((301, spec.K)).T)
+    # paths formed from draws made ahead need a kind that draws ahead and
+    # the array holding the draws
+    with pytest.raises(InvalidSpec):
+        simulate_paths(m, lam, grid, None)
+    if m.draw is None:
+        with pytest.raises(InvalidSpec):
+            simulate_paths(m, lam, grid, None, buf)
     if m.x_values(paths.Y[:, :-1], grid.times()[:-1]).shape[1] > 1:
         # time-varying weights read the path after B_i starts
         with pytest.raises(InvalidSpec):
